@@ -208,22 +208,6 @@ def poly_nonneg_on_unit(
     return PolyNonnegReport(CertStatus.NONNEG, None, None, deepest)
 
 
-def dense_condition_polynomials(
-    tab: ButcherTableau, weights: DenseWeights, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient rows of the transformed weight components and the budget polynomial.
-
-    Row j of the first array holds the monomial coefficients of component j of
-    the weight vector times (I+rA)^{-1}; the second array is 1 minus r times
-    the sum of those components.
-    """
-    M = resolvent(tab, r)
-    components = M.T @ weights.coeffs  # row j: coefficients of component j
-    budget = -r * components.sum(axis=0)
-    budget[0] += 1.0
-    return components, budget
-
-
 def monotonicity_feasible_dense(
     tab: ButcherTableau, weights: DenseWeights, r: float
 ) -> FeasibilityCheck:

@@ -4,9 +4,9 @@ Two closed-form recipes cover most practical needs: scaling the step weights
 linearly in theta always keeps the full SSP coefficient at first order, and a
 quadratic recipe gives second order whenever the first row of A is zero.  For
 anything else, lp_search assembles a collocation LP over the free polynomial
-coefficients and decides feasibility with a phase-1 simplex, then certifies
-the continuous conditions a posteriori in the Bernstein basis so the final
-answer is sound despite the finite collocation grid.
+coefficients and decides its feasibility with scipy's HiGHS solver, then
+certifies the continuous conditions a posteriori in the Bernstein basis so the
+final answer is sound despite the finite collocation grid.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .certify import (
 )
 from .errors import (
     DimensionMismatchError,
-    NumericalCycleError,
+    InvalidArgumentError,
     RepeatedAbscissaeError,
     StructureError,
 )
@@ -45,7 +45,9 @@ def family_tableau(s: int) -> ButcherTableau:
     """Optimal second-order SSP method with s stages: a_ij = 1/(s-1) below the
     diagonal, b_j = 1/s, SSP coefficient s-1."""
     if s < 2:
-        raise ValueError("the family needs s >= 2 (abscissas divide by s-1)")
+        raise InvalidArgumentError(
+            "the family needs s >= 2 (abscissas divide by s-1)"
+        )
     A = np.zeros((s, s))
     A[np.tril_indices(s, -1)] = 1.0 / (s - 1)
     b = np.full(s, 1.0 / s)
@@ -481,16 +483,16 @@ def lp_search(
     the candidate uncertified with a refinement hint.
     """
     if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2, or 3")
+        raise InvalidArgumentError("order must be 1, 2, or 3")
     if degree < 1:
-        raise ValueError("degree must be at least 1")
+        raise InvalidArgumentError("degree must be at least 1")
     if r <= 0:
-        raise ValueError("r must be positive")
+        raise InvalidArgumentError("r must be positive")
     minimum = 2 * degree + 2
     if n_collocation is None:
         n_collocation = minimum
     elif n_collocation < minimum:
-        raise ValueError(f"need at least {minimum} collocation points")
+        raise InvalidArgumentError(f"need at least {minimum} collocation points")
     if not monotonicity_feasible_method(tab, r).feasible:
         warnings.warn(
             "requested r exceeds the method's SSP coefficient", stacklevel=2
@@ -505,25 +507,9 @@ def lp_search(
             collocation=n_collocation,
         )
     n = n_collocation
-    weights = None
     for round_index in range(5):
         problem = build_lp(tab, order, degree, r, n)
-        try:
-            x = _solve_lp(problem)
-        except NumericalCycleError:
-            if weights is None:
-                raise
-            # a refined LP failed numerically; fall back to the last
-            # uncertified candidate rather than guessing a verdict
-            return SearchResult(
-                status="feasible",
-                weights=weights,
-                certified=False,
-                collocation=n // 2,
-                rounds=round_index,
-                hint="refinement became numerically degenerate; the candidate "
-                "is LP-feasible but not continuously certified",
-            )
+        x = _solve_lp(problem)
         if x is None:
             return SearchResult(
                 status="infeasible",

@@ -57,5 +57,10 @@ class ParseError(SspdoError, ValueError):
     """Tableau file could not be parsed; message carries line/field context."""
 
 
+class InvalidArgumentError(SspdoError, ValueError):
+    """A numeric argument (stage count, order, degree, r, grid size) is out of range."""
+
+
 class NumericalCycleError(SspdoError, RuntimeError):
-    """Simplex exceeded its iteration budget (should not happen under Bland's rule)."""
+    """The LP solver stopped without a feasibility verdict (iteration limit or
+    numerical breakdown)."""

@@ -22,24 +22,12 @@ def pad(c: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def add(a, b) -> np.ndarray:
-    return P.polyadd(as_poly(a), as_poly(b))
-
-
-def subtract(a, b) -> np.ndarray:
-    return P.polysub(as_poly(a), as_poly(b))
-
-
 def evaluate(c, x):
     return P.polyval(x, as_poly(c))
 
 
 def derivative(c) -> np.ndarray:
     return P.polyder(as_poly(c))
-
-
-def is_zero(c, tol: float = 1e-13) -> bool:
-    return bool(np.all(np.abs(as_poly(c)) <= tol))
 
 
 def max_abs_on_unit(c) -> tuple[float, float]:

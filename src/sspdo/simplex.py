@@ -1,228 +1,58 @@
-"""Dense phase-1 simplex for small feasibility problems.
+"""Phase-1 feasibility for small linear programs, decided by HiGHS.
 
-Finds x >= 0 with A_eq x = b_eq and A_ub x <= b_ub by minimizing the sum of
-artificial variables.  The entering variable follows Bland's rule (smallest
-index with negative reduced cost).  The leaving row normally takes the
-largest pivot among the min-ratio ties for numerical stability; after a long
-degenerate stall it switches to the smallest basis index, which restores the
-full anti-cycling guarantee.  Problem sizes here stay in the hundreds of rows
-and columns, which a dense tableau handles comfortably.  The tableau is
-refactorized from the original data periodically and before declaring
-optimality, so incremental roundoff cannot flip a feasibility verdict.
+Finds x >= 0 with A_eq x = b_eq and A_ub x <= b_ub, or proves there is none,
+by handing a zero objective to scipy's HiGHS solver
+(``scipy.optimize.linprog(method="highs")``).  Problem sizes here stay in the
+hundreds of rows and columns.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NumericalCycleError
 
-PIVOT_TOL = 1e-11
-FEAS_TOL = 1e-9
-REFRESH_EVERY = 40
-STALL_LIMIT = 60
+#: linprog status codes: 0 solved, 2 infeasible; any other is a breakdown.
+SOLVED, INFEASIBLE = 0, 2
 
 
 @dataclass(frozen=True)
 class SimplexResult:
     feasible: bool
     x: np.ndarray | None
-    objective: float
     iterations: int
 
 
-def phase1_feasible(
-    A_eq=None,
-    b_eq=None,
-    A_ub=None,
-    b_ub=None,
-    *,
-    tol: float = PIVOT_TOL,
-    feas_tol: float = FEAS_TOL,
-    max_iter: int | None = None,
-) -> SimplexResult:
+def _block(A, b):
+    """A constraint block as (2-D matrix, vector), or (None, None) if empty."""
+    if A is None or b is None or np.size(b) == 0:
+        return None, None
+    return np.atleast_2d(np.asarray(A, float)), np.atleast_1d(np.asarray(b, float))
+
+
+def phase1_feasible(A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResult:
     """Feasibility of {x >= 0 : A_eq x = b_eq, A_ub x <= b_ub}."""
-    A_eq = np.zeros((0, 0)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, float))
-    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
-    A_ub = np.zeros((0, 0)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, float))
-    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
-    n = max(A_eq.shape[1] if A_eq.size else 0, A_ub.shape[1] if A_ub.size else 0)
-    m_eq, m_ub = len(b_eq), len(b_ub)
-    m = m_eq + m_ub
-    if m == 0:
-        return SimplexResult(True, np.zeros(n), 0.0, 0)
+    A_eq, b_eq = _block(A_eq, b_eq)
+    A_ub, b_ub = _block(A_ub, b_ub)
+    if A_eq is None and A_ub is None:
+        return SimplexResult(True, np.zeros(0), 0)
+    n = (A_eq if A_eq is not None else A_ub).shape[1]
+    # Imported here: scipy.optimize adds ~0.3 s and ~19 MB to every CLI start.
+    from scipy.optimize import linprog
 
-    # Standard form: columns are x (n) | slacks (m_ub) | artificials (m).
-    # Rows whose slack can start basic leave their artificial nonbasic at
-    # zero; with phase-1 cost 1 it never enters.
-    width = n + m_ub + m
-    A_std = np.zeros((m, width))
-    b_std = np.empty(m)
-    basis = np.empty(m, dtype=int)
-    cost = np.zeros(width)
-    for i in range(m_ub):
-        A_std[i, :n] = A_ub[i] if A_ub.size else 0.0
-        A_std[i, n + i] = 1.0
-        b_std[i] = b_ub[i]
-    for k in range(m_eq):
-        A_std[m_ub + k, :n] = A_eq[k] if A_eq.size else 0.0
-        b_std[m_ub + k] = b_eq[k]
-    # Equilibrate rows to unit max magnitude; pure conditioning, feasibility
-    # is unchanged.
-    for i in range(m):
-        scale = max(np.max(np.abs(A_std[i])), abs(b_std[i]))
-        if scale > 0:
-            A_std[i] /= scale
-            b_std[i] /= scale
-    for i in range(m):
-        if b_std[i] < 0:
-            A_std[i] = -A_std[i]
-            b_std[i] = -b_std[i]
-        art = n + m_ub + i
-        A_std[i, art] = 1.0
-        cost[art] = 1.0
-        if i < m_ub and A_std[i, n + i] > 0:
-            basis[i] = n + i
-        else:
-            basis[i] = art
-
-    T = A_std.copy()
-    rhs = b_std.copy()
-    repairs = 0
-
-    def repair_basis():
-        # Re-derive an independent basis: eliminate the current basis columns
-        # with partial pivoting; columns that add no rank are replaced by the
-        # artificials of the rows left without a pivot.
-        nonlocal repairs
-        repairs += 1
-        if repairs > 5:
-            raise NumericalCycleError("basis repair limit reached")
-        M = A_std[:, basis].copy()
-        row_of_col = np.full(m, -1)
-        row_free = np.ones(m, dtype=bool)
-        for j in range(m):
-            col = np.where(row_free, np.abs(M[:, j]), 0.0)
-            i = int(np.argmax(col))
-            if col[i] <= 1e-10:
-                continue  # dependent column
-            row_of_col[j] = i
-            row_free[i] = False
-            factors = M[:, j] / M[i, j]
-            factors[i] = 0.0
-            M -= np.outer(factors, M[i])
-        free_rows = iter(
-            r for r in np.nonzero(row_free)[0] if not in_basis[n + m_ub + r]
-        )
-        for j in range(m):
-            if row_of_col[j] < 0:
-                try:
-                    row = next(free_rows)
-                except StopIteration:
-                    raise NumericalCycleError(
-                        "basis repair ran out of artificial columns"
-                    ) from None
-                in_basis[basis[j]] = False
-                basis[j] = n + m_ub + row
-                in_basis[basis[j]] = True
-
-    def refresh():
-        nonlocal T, rhs
-        for attempt in range(2):
-            B = A_std[:, basis]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                lu, piv = lu_factor(B)
-            if np.min(np.abs(np.diag(lu))) >= 1e-14:
-                break
-            if attempt:
-                raise NumericalCycleError("basis matrix became singular")
-            repair_basis()
-        T = lu_solve((lu, piv), A_std)
-        rhs = lu_solve((lu, piv), b_std)
-        np.clip(rhs, 0.0, None, out=rhs)
-
-    def reduced_costs():
-        return cost - cost[basis] @ T
-
-    def objective_now():
-        return float(cost[basis] @ rhs)
-
-    if max_iter is None:
-        max_iter = 500 * (m + width)
-    iterations = 0
-    stall = 0
-    best_objective = np.inf
-    in_basis = np.zeros(width, dtype=bool)
-    in_basis[basis] = True
-
-    def pick_entering(reduced):
-        # skip columns already basic: drifted reduced costs could otherwise
-        # re-admit one and make the basis exactly singular
-        for j in range(width):
-            if reduced[j] < -tol and not in_basis[j]:
-                return j
-        return -1
-
-    refresh()  # slack columns are equilibrated, so the start basis is not I
-    while True:
-        entering = pick_entering(reduced_costs())
-        if entering < 0:
-            refresh()
-            entering = pick_entering(reduced_costs())
-            if entering < 0:
-                break
-        col = T[:, entering]
-        admissible = col > tol
-        if not np.any(admissible):
-            # Phase-1 objective is bounded below by 0; an unbounded ray here
-            # means roundoff discarded every usable pivot row.
-            refresh()
-            col = T[:, entering]
-            admissible = col > tol
-            if not np.any(admissible):
-                raise NumericalCycleError("no admissible pivot row in phase 1")
-        ratios = np.full(m, np.inf)
-        ratios[admissible] = rhs[admissible] / col[admissible]
-        best = ratios.min()
-        candidates = np.nonzero(ratios <= best + tol * (1.0 + abs(best)))[0]
-        if stall > STALL_LIMIT:
-            leaving = candidates[np.argmin(basis[candidates])]
-        else:
-            leaving = candidates[np.argmax(np.abs(col[candidates]))]
-        pivot = T[leaving, entering]
-        T[leaving] /= pivot
-        rhs[leaving] /= pivot
-        factors = T[:, entering].copy()
-        factors[leaving] = 0.0
-        T -= np.outer(factors, T[leaving])
-        rhs -= factors * rhs[leaving]
-        np.clip(rhs, 0.0, None, out=rhs)
-        in_basis[basis[leaving]] = False
-        in_basis[entering] = True
-        basis[leaving] = entering
-        iterations += 1
-        if iterations % REFRESH_EVERY == 0:
-            refresh()
-        current = objective_now()
-        if current < best_objective - 1e-12:
-            best_objective = current
-            stall = 0
-        else:
-            stall += 1
-        if iterations > max_iter:
-            raise NumericalCycleError(
-                f"phase-1 simplex exceeded {max_iter} iterations"
-            )
-
-    refresh()
-    full = np.zeros(width)
-    full[basis] = rhs
-    objective = float(cost @ full)
-    feasible = objective <= feas_tol
-    x = full[:n] if feasible else None
-    return SimplexResult(feasible=feasible, x=x, objective=objective, iterations=iterations)
+    res = linprog(
+        np.zeros(n),
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status == SOLVED:
+        return SimplexResult(True, res.x, res.nit)
+    if res.status == INFEASIBLE:
+        return SimplexResult(False, None, res.nit)
+    raise NumericalCycleError(f"HiGHS stopped with status {res.status}: {res.message}")

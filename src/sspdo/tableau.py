@@ -61,7 +61,7 @@ class ButcherTableau:
             raise DimensionMismatchError(f"A must be square, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise DimensionMismatchError(
-                f"b has length {b.shape}, expected ({A.shape[0]},)"
+                f"b has shape {b.shape}, expected ({A.shape[0]},)"
             )
         c = A.sum(axis=1)
         explicit = not np.any(np.triu(A) != 0.0)
@@ -91,12 +91,6 @@ def validate_tableau(A, b, name: str = "", c=None) -> ButcherTableau:
     """
     A = parse_matrix(A)
     b = parse_vector(b)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"A must be square, got shape {A.shape}")
-    if b.shape != (A.shape[0],):
-        raise DimensionMismatchError(
-            f"b has length {len(b)}, expected {A.shape[0]}"
-        )
     tab = ButcherTableau(A=A, b=b, name=name)
     zero = tab.zero_rows()
     offending = [i + 1 for i in zero if i != 0]

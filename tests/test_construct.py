@@ -193,11 +193,24 @@ def test_lp_search_family_nonexistence(s):
     assert v.lhs - v.rhs > 0  # weight value exceeds the budget at theta*
 
 
-@pytest.mark.parametrize("degree", range(2, 7))
-def test_lp_search_order3_infeasible(degree):
-    tab = registry.get("ssp332").tableau
-    result = lp_search(tab, order=3, degree=degree, r=0.1)
+@pytest.mark.parametrize(
+    "method, degree, r",
+    [pytest.param("ssp332", degree, 0.1, id=str(degree)) for degree in range(2, 7)]
+    # no prescreen fires on this one, so the verdict comes from the LP solve
+    + [pytest.param("family-s7", 4, 5.5, id="family-s7-4")],
+)
+def test_lp_search_order3_infeasible(method, degree, r):
+    tab = registry.get(method).tableau
+    result = lp_search(tab, order=3, degree=degree, r=r)
     assert not result.feasible
+
+
+def test_lp_search_refinement_runs_every_round():
+    # an uncertified candidate is returned only after all refinement rounds
+    result = lp_search(family_tableau(6), order=2, degree=4, r=4.5)
+    assert result.feasible
+    assert result.certified or result.rounds == 4
+    assert "degenerate" not in (result.hint or "")
 
 
 def test_lp_search_order1_feasible_certified():

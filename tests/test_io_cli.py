@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sspdo
 from sspdo import registry
 from sspdo.cli import main
 from sspdo.errors import ParseError
@@ -169,6 +172,50 @@ def test_missing_method_source_exit_code(capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["certify", "--tableau", "/nonexistent.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "0"],
+        ["search", "--stages", "5", "--order", "2", "--degree", "0", "--r", "4"],
+        ["search", "--stages", "1", "--order", "2", "--degree", "3", "--r", "4"],
+        ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4",
+         "--collocation", "3"],
+    ],
+    ids=["r-zero", "degree-zero", "one-stage", "small-grid"],
+)
+def test_search_bad_argument_exit_code(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_search_solver_breakdown_exit_code(monkeypatch, capsys):
+    # any HiGHS status other than solved (0) or infeasible (2) is a typed error
+    import scipy.optimize
+
+    def numerical_difficulties(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=4, message="stub", nit=0)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", numerical_difficulties)
+    argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: HiGHS stopped with status 4")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.3 s and 19 MB to import; only an LP solve
+    # may load it, never the CLI start
+    src = os.path.dirname(os.path.dirname(sspdo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, sspdo.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_figure1_record_and_determinism(tmp_path, capsys):
