@@ -19,6 +19,7 @@ stored in double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +29,13 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from . import poly
-from .errors import DegreeTooHighError, DimensionMismatchError, SingularMatrixError
+from .errors import (
+    DegreeTooHighError,
+    DimensionMismatchError,
+    InvalidArgumentError,
+    PostVerificationError,
+    SingularMatrixError,
+)
 from .tableau import ButcherTableau, DenseWeights
 
 GE_TOL = 1e-12          # slack allowed on the >= 0 side
@@ -138,17 +145,22 @@ class PolyNonnegReport:
     depth: int
 
 
+@functools.lru_cache(maxsize=None)
+def bernstein_matrix(n: int) -> np.ndarray:
+    """Read-only (n+1) x (n+1) map from monomial to degree-n Bernstein
+    coefficients on [0,1]: entry (i, k) is C(i,k)/C(n,k) for k <= i."""
+    out = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        for k in range(i + 1):
+            out[i, k] = math.comb(i, k) / math.comb(n, k)
+    out.setflags(write=False)
+    return out
+
+
 def monomial_to_bernstein(coeffs: np.ndarray) -> np.ndarray:
     """Bernstein coefficients on [0,1] of a polynomial given in the monomial basis."""
     c = poly.as_poly(coeffs)
-    n = len(c) - 1
-    bern = np.empty(n + 1)
-    for i in range(n + 1):
-        acc = 0.0
-        for k in range(i + 1):
-            acc += math.comb(i, k) / math.comb(n, k) * c[k]
-        bern[i] = acc
-    return bern
+    return bernstein_matrix(len(c) - 1) @ c
 
 
 def _decasteljau_split(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,8 +286,11 @@ def _sup_by_bisection(probe, tol: float, cap: float = R_CAP) -> SupResult:
     """Bisection for sup{r >= 0 : probe(r) feasible} over an interval-shaped set.
 
     Both endpoints are post-verified so a non-interval pathology surfaces as
-    an error rather than a wrong answer.
+    an error rather than a wrong answer.  Bisection stops at tol or once the
+    bracket cannot be split in floating point, whichever comes first.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidArgumentError(f"tolerance must be finite and positive, got {tol}")
     conservative = False
 
     def run(r):
@@ -288,8 +303,9 @@ def _sup_by_bisection(probe, tol: float, cap: float = R_CAP) -> SupResult:
     if not first.feasible:
         upper = run(1e-8)
         if upper.feasible:
-            raise RuntimeError(
-                "feasible at r=1e-8 but not at r=1e-10; feasible set is not an interval"
+            raise PostVerificationError(
+                "feasible at r=1e-8 but not at r=1e-10; feasible set is not an interval",
+                r=1e-8,
             )
         return SupResult(0.0, first, False, conservative)
     lo, hi = 1e-10, 1.0
@@ -309,16 +325,21 @@ def _sup_by_bisection(probe, tol: float, cap: float = R_CAP) -> SupResult:
         lo, hi = hi, 2.0 * hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if run(mid).feasible:
             lo = mid
         else:
             hi = mid
     if not run(lo).feasible:
-        raise RuntimeError(f"post-verification failed: r={lo} probed infeasible")
+        raise PostVerificationError(
+            f"post-verification failed: r={lo} probed infeasible", r=lo
+        )
     upper = lo * (1.0 + 1e-8) + 1e-8
     if run(upper).feasible:
-        raise RuntimeError(
-            f"post-verification failed: r={upper} probed feasible above the sup"
+        raise PostVerificationError(
+            f"post-verification failed: r={upper} probed feasible above the sup",
+            r=upper,
         )
     return SupResult(lo, first_bad, False, conservative)
 

@@ -33,11 +33,6 @@ from .tableau_io import load_tableau_file
 DEFAULT_TOL = 1e-10
 
 
-def _tol_default() -> float:
-    value = os.environ.get("SSPDO_TOL")
-    return float(value) if value else DEFAULT_TOL
-
-
 def _emit(record: dict) -> None:
     print(json.dumps(record))
 
@@ -222,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="compute SSP coefficients and certificate")
     add_method_args(p)
     p.add_argument("--dense", action="store_true", help="also certify dense weights")
-    p.add_argument("--tol", type=float, default=_tol_default())
+    # A string default goes through type=float only when --tol is absent, so
+    # a malformed SSPDO_TOL is a usage error of certify alone.
+    p.add_argument("--tol", type=float, default=os.environ.get("SSPDO_TOL") or DEFAULT_TOL)
     add_format(p)
     p.set_defaults(func=_cmd_certify)
 

@@ -3,22 +3,26 @@
 Two closed-form recipes cover most practical needs: scaling the step weights
 linearly in theta always keeps the full SSP coefficient at first order, and a
 quadratic recipe gives second order whenever the first row of A is zero.  For
-anything else, lp_search assembles a collocation LP over the free polynomial
-coefficients and decides its feasibility with scipy's HiGHS solver, then
-certifies the continuous conditions a posteriori in the Bernstein basis so the
-final answer is sound despite the finite collocation grid.
+anything else, lp_search solves feasibility LPs over the free polynomial
+coefficients with scipy's HiGHS solver.  A collocation relaxation (conditions
+at finitely many theta) can prove that no weights exist; a Bernstein
+restriction (nonnegative Bernstein coefficients after degree elevation) yields
+weights that satisfy the conditions for every theta.  Every candidate is
+certified in the Bernstein basis before it is reported, so the verdict is
+"feasible" with certified weights, "infeasible", or "inconclusive".
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import poly
 from .certify import (
     CertStatus,
+    bernstein_matrix,
     monotonicity_feasible_dense,
     monotonicity_feasible_method,
     poly_nonneg_on_unit,
@@ -39,6 +43,9 @@ from .tableau import (
     method_order_residuals,
     validate_tableau,
 )
+
+#: Degree elevation of the Bernstein restriction LP above the weight degree.
+ELEVATION = 32
 
 
 def family_tableau(s: int) -> ButcherTableau:
@@ -234,37 +241,59 @@ class PrescreenViolation:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Collocation LP over the free weight coefficients (powers 1..degree;
-    the constant terms are pinned to zero by construction)."""
+    """Feasibility LP over the free weight coefficients (powers 1..degree;
+    the constant terms are pinned to zero by construction).
+
+    ``conditions`` holds the s transformed weights (rows of -M^T, with M the
+    resolvent at r) and the step budget (r (M e)^T) as linear forms in the
+    stage weights.  Each row of ``basis`` maps powers 1..degree of a weight to
+    one number: its value at a collocation point (relaxation) or one of its
+    Bernstein coefficients (restriction).  The inequality block applies every
+    condition to every basis row: transformed weights >= 0, budget <= 1.
+    """
 
     s: int
     degree: int
     r: float
     order: int
-    thetas: np.ndarray
     A_eq: np.ndarray
     b_eq: np.ndarray
-    A_ub: np.ndarray
-    b_ub: np.ndarray
+    conditions: np.ndarray
+    basis: np.ndarray
 
     @property
     def n_variables(self) -> int:
         return self.s * self.degree
 
+    @property
+    def A_ub(self) -> np.ndarray:
+        # Kronecker product of basis and conditions; rows run basis-row-major,
+        # columns stage-major as in the variable layout.
+        block = self.basis[:, None, None, :] * self.conditions[None, :, :, None]
+        return block.reshape(-1, self.n_variables)
+
+    @property
+    def b_ub(self) -> np.ndarray:
+        rhs = np.zeros((len(self.basis), len(self.conditions)))
+        rhs[:, -1] = 1.0  # the budget; the transformed weights have rhs 0
+        return rhs.ravel()
+
 
 @dataclass(frozen=True)
 class SearchResult:
-    status: str                       # "feasible" | "infeasible"
+    status: str                       # "feasible" | "infeasible" | "inconclusive"
     weights: DenseWeights | None
-    certified: bool
     violated_necessary: PrescreenViolation | None = None
     collocation: int | None = None
-    rounds: int = 0
-    hint: str | None = None
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
+
+    @property
+    def certified(self) -> bool:
+        """Only certified weights are ever reported feasible."""
+        return self.feasible
 
     def as_record(self) -> dict:
         return {
@@ -277,8 +306,6 @@ class SearchResult:
                 else self.violated_necessary.as_record()
             ),
             "collocation": self.collocation,
-            "rounds": self.rounds,
-            "hint": self.hint,
         }
 
 
@@ -325,6 +352,47 @@ def _prescreen(tab, order, degree, r) -> PrescreenViolation | None:
     return None
 
 
+def _equalities(tab, order, D, r) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial-coefficient rows of the dense order conditions up to order,
+    then the derivative pins at theta=0 when order >= 2 and r > 0."""
+    s = tab.s
+    conditions = [(np.ones(s), [0.0, 1.0])]
+    if order >= 2:
+        conditions.append((tab.c, [0.0, 0.0, 0.5]))
+    if order >= 3:
+        conditions.append((tab.c * tab.c, [0.0, 0.0, 0.0, 1.0 / 3.0]))
+        conditions.append((tab.A @ tab.c, [0.0, 0.0, 0.0, 1.0 / 6.0]))
+    blocks, rhs = [], []
+    for stage_factors, target in conditions:
+        target = poly.pad(target, D + 1)
+        blocks.append(np.kron(stage_factors, np.eye(D)))
+        rhs.append(target[1 : D + 1])
+        # Powers above D carry no variables; a nonzero demand there is a
+        # structural contradiction the LP must report.
+        beyond = target[D + 1 :][target[D + 1 :] != 0.0]
+        blocks.append(np.zeros((len(beyond), s * D)))
+        rhs.append(beyond)
+    if order >= 2 and r > 0:
+        blocks.append(np.kron(np.eye(s), np.eye(1, D)))
+        rhs.append(np.eye(1, s)[0])
+    A_eq = np.vstack(blocks)
+    b_eq = np.concatenate(rhs)
+    keep = np.any(A_eq != 0.0, axis=1) | (b_eq != 0.0)
+    return A_eq[keep], b_eq[keep]
+
+
+# theta = 0 and the first Bernstein coefficient (the value at 0) would only
+# give 0 <= 0 rows, so both bases skip them.
+def _collocation_basis(n: int, D: int) -> np.ndarray:
+    """Powers 1..D at n Chebyshev points."""
+    return np.power(chebyshev_lobatto(n)[1:, None], np.arange(1, D + 1))
+
+
+def _bernstein_basis(D: int) -> np.ndarray:
+    """Bernstein coefficients at degree D + ELEVATION of powers 1..D."""
+    return bernstein_matrix(D + ELEVATION)[1:, 1 : D + 1]
+
+
 def build_lp(
     tab: ButcherTableau,
     order: int,
@@ -332,97 +400,31 @@ def build_lp(
     r: float,
     n_collocation: int,
 ) -> LpProblem:
-    """Assemble the collocation LP.
+    """Assemble the collocation relaxation LP.
 
     Equalities match monomial coefficients of the dense order conditions up
     to the requested order (rows that are structurally zero are dropped; a
     zero row with nonzero right-hand side is kept and makes the LP
     infeasible).  When order >= 2 and r > 0 the derivative pins at theta=0
     (first-stage linear coefficient 1, all others 0) are added; they are
-    necessary for any order-2 dense output with positive SSP coefficient and
-    they close the gap between the collocation LP and the continuous problem.
+    necessary for any order-2 dense output with positive SSP coefficient.
     Inequalities impose the transformed-weight nonnegativity and the step
-    budget at the collocation points.
+    budget at n_collocation Chebyshev points, so an infeasible relaxation
+    proves that no weights exist.  Replacing ``basis`` gives another LP with
+    the same equalities.
     """
-    s, D = tab.s, degree
-    n_var = s * D
-
-    def var(j, k):  # stage j (0-based), power k (1..D)
-        return j * D + (k - 1)
-
-    rows_eq, rhs_eq = [], []
-
-    def add_condition(stage_factors, target):
-        target = poly.pad(target, D + 1)
-        for k in range(1, D + 1):
-            row = np.zeros(n_var)
-            for j in range(s):
-                row[var(j, k)] = stage_factors[j]
-            rows_eq.append(row)
-            rhs_eq.append(target[k])
-        # Powers above D carry no variables; a nonzero demand there is a
-        # structural contradiction the LP must report.
-        for k in range(D + 1, len(target)):
-            if target[k] != 0.0:
-                rows_eq.append(np.zeros(n_var))
-                rhs_eq.append(target[k])
-
-    add_condition(np.ones(s), [0.0, 1.0])
-    if order >= 2:
-        add_condition(tab.c, [0.0, 0.0, 0.5])
-    if order >= 3:
-        add_condition(tab.c * tab.c, [0.0, 0.0, 0.0, 1.0 / 3.0])
-        add_condition(tab.A @ tab.c, [0.0, 0.0, 0.0, 1.0 / 6.0])
-    if order >= 2 and r > 0:
-        row = np.zeros(n_var)
-        row[var(0, 1)] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(1.0)
-        for j in range(1, s):
-            row = np.zeros(n_var)
-            row[var(j, 1)] = 1.0
-            rows_eq.append(row)
-            rhs_eq.append(0.0)
-
-    keep = [
-        i
-        for i, row in enumerate(rows_eq)
-        if np.any(row != 0.0) or rhs_eq[i] != 0.0
-    ]
-    A_eq = np.array([rows_eq[i] for i in keep]) if keep else np.zeros((0, n_var))
-    b_eq = np.array([rhs_eq[i] for i in keep])
-
+    A_eq, b_eq = _equalities(tab, order, degree, r)
     M = resolvent(tab, r)
-    Me = M @ np.ones(s)
-    thetas = chebyshev_lobatto(n_collocation)
-    rows_ub, rhs_ub = [], []
-    for theta in thetas:
-        if theta == 0.0:
-            continue  # every constraint is structurally 0 >= 0 there
-        powers = np.power(theta, np.arange(1, D + 1))
-        for jp in range(s):
-            row = np.zeros(n_var)
-            for j in range(s):
-                row[var(j, 1) : var(j, D) + 1] = -M[j, jp] * powers
-            rows_ub.append(row)
-            rhs_ub.append(0.0)
-        row = np.zeros(n_var)
-        for j in range(s):
-            row[var(j, 1) : var(j, D) + 1] = r * Me[j] * powers
-        rows_ub.append(row)
-        rhs_ub.append(1.0)
-    A_ub = np.array(rows_ub) if rows_ub else np.zeros((0, n_var))
-    b_ub = np.array(rhs_ub)
+    conditions = np.vstack([-M.T, r * (M @ np.ones(tab.s))])
     return LpProblem(
-        s=s,
-        degree=D,
+        s=tab.s,
+        degree=degree,
         r=r,
         order=order,
-        thetas=thetas,
         A_eq=A_eq,
         b_eq=b_eq,
-        A_ub=A_ub,
-        b_ub=b_ub,
+        conditions=conditions,
+        basis=_collocation_basis(n_collocation, degree),
     )
 
 
@@ -477,10 +479,19 @@ def lp_search(
     """Search for dense weights of the requested order and degree feasible at r.
 
     Closed-form necessary conditions are screened first so an infeasible
-    verdict carries an interpretable cause; otherwise the collocation LP runs
-    and any feasible point is certified continuously.  Certification failure
-    doubles the collocation set for up to 4 refinement rounds before returning
-    the candidate uncertified with a refinement hint.
+    verdict carries an interpretable cause.  Then at most three LPs run, each
+    once:
+
+    1. the collocation relaxation at n_collocation points (default 2D+2):
+       infeasible means "infeasible"; a vertex that certifies is "feasible";
+    2. the Bernstein restriction: every transformed weight and the budget must
+       have nonnegative Bernstein coefficients at degree D + ELEVATION, which
+       implies the continuous conditions; a point that certifies is "feasible";
+    3. the relaxation at D + ELEVATION + 1 points, which can still prove
+       "infeasible"; otherwise the verdict is "inconclusive".
+
+    Every "feasible" carries weights certified continuously in the Bernstein
+    basis; "infeasible" and "inconclusive" carry none.
     """
     if order not in (1, 2, 3):
         raise InvalidArgumentError("order must be 1, 2, or 3")
@@ -499,40 +510,19 @@ def lp_search(
         )
     violation = _prescreen(tab, order, degree, r)
     if violation is not None:
-        return SearchResult(
-            status="infeasible",
-            weights=None,
-            certified=False,
-            violated_necessary=violation,
-            collocation=n_collocation,
-        )
-    n = n_collocation
-    for round_index in range(5):
-        problem = build_lp(tab, order, degree, r, n)
-        x = _solve_lp(problem)
-        if x is None:
-            return SearchResult(
-                status="infeasible",
-                weights=None,
-                certified=False,
-                collocation=n,
-                rounds=round_index,
-            )
-        weights = _weights_from_solution(problem, x)
+        return SearchResult("infeasible", None, violation, n_collocation)
+    relaxation = build_lp(tab, order, degree, r, n_collocation)
+    x = _solve_lp(relaxation)
+    if x is None:
+        return SearchResult("infeasible", None, collocation=n_collocation)
+    weights = _weights_from_solution(relaxation, x)
+    if _certify_candidate(tab, weights, order, r):
+        return SearchResult("feasible", weights, collocation=n_collocation)
+    x = _solve_lp(replace(relaxation, basis=_bernstein_basis(degree)))
+    if x is not None:
+        weights = _weights_from_solution(relaxation, x)
         if _certify_candidate(tab, weights, order, r):
-            return SearchResult(
-                status="feasible",
-                weights=weights,
-                certified=True,
-                collocation=n,
-                rounds=round_index,
-            )
-        n *= 2
-    return SearchResult(
-        status="feasible",
-        weights=weights,
-        certified=False,
-        collocation=n // 2,
-        rounds=4,
-        hint="collocation refinement exhausted; increase n_collocation",
-    )
+            return SearchResult("feasible", weights, collocation=n_collocation)
+    fine = degree + ELEVATION + 1
+    x = _solve_lp(replace(relaxation, basis=_collocation_basis(fine, degree)))
+    return SearchResult("infeasible" if x is None else "inconclusive", None, collocation=fine)

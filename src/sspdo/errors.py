@@ -64,3 +64,12 @@ class InvalidArgumentError(SspdoError, ValueError):
 class NumericalCycleError(SspdoError, RuntimeError):
     """The LP solver stopped without a feasibility verdict (iteration limit or
     numerical breakdown)."""
+
+
+class PostVerificationError(SspdoError, RuntimeError):
+    """Bisection's post-verification contradicts an interval-shaped feasible
+    set; r is the probed radius that disagrees."""
+
+    def __init__(self, message, r):
+        super().__init__(message)
+        self.r = r

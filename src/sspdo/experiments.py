@@ -11,7 +11,7 @@ import numpy as np
 from . import registry
 from .certify import check_xineq, dense_ssp_coefficient, ssp_coefficient
 from .construct import family_tableau, first_order_weights, second_order_weights
-from .errors import InvalidStepSizeError
+from .errors import InvalidArgumentError
 from .integrate import convergence_study, dense_eval_grid, integrate_fixed
 from .problems import sinode
 from .tableau import validate_tableau
@@ -65,8 +65,6 @@ def run_figure1(
     Writes ssp.csv and nonssp.csv (columns u0,t,theta,u,formula) when out_dir
     is given; output is deterministic, so reruns are byte-identical.
     """
-    if h <= 0:
-        raise InvalidStepSizeError(f"step size must be positive, got {h}")
     entry = registry.get("numexample-322")
     weight_sets = {
         "ssp": entry.dense_weights,
@@ -154,7 +152,7 @@ def run_certification_sweep(s_max: int, tol: float = 1e-10) -> list[SweepRow]:
     which is exactly where the quadratic recipe stops keeping the full
     coefficient."""
     if s_max < 2:
-        raise ValueError("s_max must be at least 2")
+        raise InvalidArgumentError(f"s_max must be at least 2, got {s_max}")
     rows = []
     for s in range(2, s_max + 1):
         tab = family_tableau(s)

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     ExactSolutionMissingError,
+    InvalidArgumentError,
+    InvalidStepSizeError,
     NonfiniteStateError,
     StructureError,
 )
@@ -94,6 +96,10 @@ def integrate_fixed(
     n_steps: int,
 ) -> Trajectory:
     """March n_steps uniform steps from u0, storing all stage data."""
+    if not h > 0:
+        raise InvalidStepSizeError(f"step size must be positive, got {h}")
+    if n_steps < 0:
+        raise InvalidArgumentError(f"step count must be nonnegative, got {n_steps}")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     dim = u0.shape[0]
     states = np.empty((n_steps + 1, dim))

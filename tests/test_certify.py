@@ -4,6 +4,9 @@ import pytest
 from sspdo import registry
 from sspdo.certify import (
     CertStatus,
+    FeasibilityCheck,
+    _sup_by_bisection,
+    bernstein_matrix,
     check_xineq,
     compute_certificate,
     dense_ssp_coefficient,
@@ -16,7 +19,7 @@ from sspdo.certify import (
     ssp_coefficient,
 )
 from sspdo.construct import family_tableau, second_order_weights
-from sspdo.errors import DegreeTooHighError
+from sspdo.errors import DegreeTooHighError, InvalidArgumentError, PostVerificationError
 from sspdo.tableau import ButcherTableau, DenseWeights, endpoint_check, validate_tableau
 
 ALL_KEYS = ["ssp222", "ssp322", "ssp332", "numexample-322"]
@@ -70,6 +73,27 @@ def test_negative_coefficient_gives_zero():
     assert ssp_coefficient(tab) == 0.0
     tab = ButcherTableau(A=np.array([[0.0, 0.0], [1.0, 0.0]]), b=np.array([1.5, -0.5]))
     assert ssp_coefficient(tab) == 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bisection_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidArgumentError):
+        ssp_coefficient(registry.get("ssp222").tableau, tol)
+
+
+def _probe(feasible):
+    return lambda r: FeasibilityCheck(feasible=feasible(r), violations=())
+
+
+def test_post_verification_names_the_probed_r():
+    # feasible at 1e-8 but not at 1e-10: not an interval
+    with pytest.raises(PostVerificationError) as info:
+        _sup_by_bisection(_probe(lambda r: r > 1e-9), 1e-10)
+    assert info.value.r == 1e-8
+    # a feasible sliver just above the sup r = 1 that bisection never probes
+    with pytest.raises(PostVerificationError) as info:
+        _sup_by_bisection(_probe(lambda r: r <= 1.0 or 1.0 + 1.6e-8 < r < 1.0 + 2.5e-8), 1e-10)
+    assert info.value.r == pytest.approx(1.0 + 2e-8, abs=1e-15)
 
 
 def test_permutation_invariance_of_coefficient():
@@ -141,6 +165,14 @@ def test_bernstein_conversion_hand_case():
     # theta - (2/3) theta^2 has degree-2 Bernstein coefficients [0, 1/2, 1/3]
     bern = monomial_to_bernstein(np.array([0.0, 1.0, -2.0 / 3.0]))
     assert np.allclose(bern, [0.0, 0.5, 1.0 / 3.0], atol=1e-15)
+
+
+def test_bernstein_matrix_is_cached_and_read_only():
+    matrix = bernstein_matrix(4)
+    assert bernstein_matrix(4) is matrix
+    assert not matrix.flags.writeable
+    # every Bernstein coefficient of the constant 1 is 1
+    assert np.allclose(matrix @ np.eye(5)[0], 1.0, atol=0.0)
 
 
 def test_certifies_nonneg():

@@ -1,9 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sspdo import registry
-from sspdo.certify import dense_ssp_coefficient, ssp_coefficient
+from sspdo.certify import (
+    bernstein_matrix,
+    dense_ssp_coefficient,
+    monomial_to_bernstein,
+    resolvent,
+    ssp_coefficient,
+)
 from sspdo.construct import (
+    ELEVATION,
+    _solve_lp,
     barrier_first_derivative,
     build_lp,
     chebyshev_lobatto,
@@ -205,12 +215,40 @@ def test_lp_search_order3_infeasible(method, degree, r):
     assert not result.feasible
 
 
-def test_lp_search_refinement_runs_every_round():
-    # an uncertified candidate is returned only after all refinement rounds
-    result = lp_search(family_tableau(6), order=2, degree=4, r=4.5)
-    assert result.feasible
-    assert result.certified or result.rounds == 4
-    assert "degenerate" not in (result.hint or "")
+def test_lp_search_restriction_certifies():
+    # the collocation vertex dips between its points; the Bernstein
+    # restriction LP finds weights that certify
+    tab = family_tableau(6)
+    result = lp_search(tab, order=2, degree=4, r=4.5)
+    assert result.status == "feasible" and result.certified
+    assert dense_ssp_coefficient(tab, result.weights) >= 4.5 - 1e-8
+
+
+def test_lp_search_fine_relaxation_proves_infeasible():
+    # the default 10-point relaxation is feasible; only the relaxation at
+    # degree + ELEVATION + 1 points proves that no weights exist
+    tab = family_tableau(8)
+    assert _solve_lp(build_lp(tab, order=2, degree=4, r=7.0, n_collocation=10)) is not None
+    result = lp_search(tab, order=2, degree=4, r=7.0)
+    assert result.status == "infeasible" and result.weights is None
+    assert result.collocation == 4 + ELEVATION + 1
+
+
+def test_lp_restriction_rows_are_bernstein_coefficients():
+    # the slack of each restriction row is one elevated Bernstein coefficient
+    # of a transformed weight or of the step budget
+    tab, r, n = family_tableau(3), 2.0, 2 + ELEVATION
+    problem = build_lp(tab, order=2, degree=2, r=r, n_collocation=6)
+    restriction = replace(problem, basis=bernstein_matrix(n)[1:, 1:3])
+    weights = second_order_weights(tab)
+    slack = restriction.b_ub - restriction.A_ub @ weights.coeffs[:, 1:].ravel()
+    M = resolvent(tab, r)
+    budget = -r * (M @ np.ones(tab.s)) @ weights.coeffs
+    budget[0] += 1.0
+    polys = np.vstack([M.T @ weights.coeffs, budget])
+    bern = np.array([monomial_to_bernstein(np.pad(p, (0, n - 2))) for p in polys])
+    # the first coefficient is the value at theta = 0, which carries no row
+    assert np.allclose(slack.reshape(n, tab.s + 1), bern[:, 1:].T, atol=1e-14)
 
 
 def test_lp_search_order1_feasible_certified():

@@ -192,6 +192,85 @@ def test_search_bad_argument_exit_code(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "sweep", "--smax", "1"],
+        ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5", "--steps", "-2"],
+        ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "-1", "--steps", "3"],
+    ],
+    ids=["sweep-smax-one", "negative-steps", "negative-step-size"],
+)
+def test_bad_argument_exit_code(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def _run_cli(argv, env_extra=None):
+    # a subprocess with a timeout, so a bisection that never ends fails the test
+    src = os.path.dirname(os.path.dirname(sspdo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SSPDO_TOL", None)
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, "-m", "sspdo.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["--method", "ssp222", "--tol", "0"], None),
+        (["--method", "family-s6", "--tol", "nan"], None),
+        (["--method", "ssp222", "--tol", "inf"], None),
+        (["--method", "ssp222"], {"SSPDO_TOL": "-1"}),
+        (["--method", "ssp222"], {"SSPDO_TOL": "abc"}),
+    ],
+    ids=["tol-zero", "tol-nan", "tol-inf", "env-negative", "env-malformed"],
+)
+def test_certify_bad_tolerance_exit_code(argv, env):
+    out = _run_cli(["certify", *argv], env)
+    assert out.returncode == 2
+    assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_certify_tolerance_below_float_spacing_terminates():
+    # 1e-17 is below the spacing of doubles near r = 1: bisection stops once
+    # the bracket cannot be split
+    out = _run_cli(["certify", "--method", "ssp222", "--tol", "1e-17", "--format", "record"])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["r_method"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_search_benchmark_argv_is_certified(capsys):
+    argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"]
+    assert main(argv + ["--format", "record"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "feasible" and record["certified"] is True
+    assert "rounds" not in record and "hint" not in record
+
+
+def test_search_inconclusive_exits_zero_without_weights(monkeypatch, capsys):
+    import sspdo.cli
+    from sspdo.construct import SearchResult
+
+    monkeypatch.setattr(
+        sspdo.cli, "lp_search", lambda *args: SearchResult("inconclusive", None, collocation=36)
+    )
+    argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "search on family-s5: inconclusive"
+    assert json.loads(lines[1]) == {
+        "status": "inconclusive", "certified": False, "weights": None,
+        "violated_necessary": None, "collocation": 36,
+    }
+
+
 def test_search_solver_breakdown_exit_code(monkeypatch, capsys):
     # any HiGHS status other than solved (0) or infeasible (2) is a typed error
     import scipy.optimize

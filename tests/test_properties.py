@@ -38,12 +38,13 @@ def test_lp_nonexistence_extends_to_ten_stages(s):
 
 
 def test_degree_three_search_runs_for_five_stages():
-    # whether a cubic formula with the full coefficient exists is open; the
-    # search must at least terminate with a sound verdict
-    result = lp_search(family_tableau(5), order=2, degree=3, r=4.0)
-    assert result.status in ("feasible", "infeasible")
-    if result.certified:
-        assert dense_ssp_coefficient(family_tableau(5), result.weights) >= 4.0 - 1e-8
+    # the quadratic is impossible from s = 5 on, but cubic and quartic
+    # second-order weights keep the full coefficient 4
+    tab = family_tableau(5)
+    for degree in (3, 4):
+        result = lp_search(tab, order=2, degree=degree, r=4.0)
+        assert result.status == "feasible" and result.certified
+        assert dense_ssp_coefficient(tab, result.weights) >= 4.0 - 1e-8
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0, 1.6, 2.0])
