@@ -6,11 +6,14 @@ conditions hold:
     A(I+rA)^{-1} >= 0          r A(I+rA)^{-1} e <= 1
     b'(I+rA)^{-1} >= 0         r b'(I+rA)^{-1} e <= 1
 
-The dense coefficient replaces the b-row conditions by the same inequalities
-with the dense weight vector, required for every theta in [0,1].  Those
-for-all-theta conditions are decided by exact coefficient manipulation plus
-Bernstein-basis certification, never by sampling alone: sampling can miss
-sign dips near theta=0, exactly where the weight polynomials vanish.
+The dense coefficient replaces b by the weight polynomials b(theta), for
+every theta in [0,1], so the method's b-row conditions are the dense
+conditions of the constant weights b and one probe decides both.  It converts
+all s+1 condition polynomials to Bernstein coefficients in one matmul and
+subdivides only the rows with a negative coefficient: never sampling alone,
+which can miss sign dips near theta=0, where the weight polynomials vanish.
+A failed row, weight_* (method) or dense_* (dense), is witnessed by the value
+of its slack-folded polynomial at a theta (theta=0 for the constant b rows).
 
 Sign tolerances are asymmetric: >=0 checks allow -1e-12 and <=1 checks allow
 1+1e-12, absorbing the ~1e-16-per-operation perturbation of rational tableaux
@@ -26,17 +29,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dtrtrs
 
 from . import poly
 from .errors import (
     DegreeTooHighError,
-    DimensionMismatchError,
     InvalidArgumentError,
     PostVerificationError,
     SingularMatrixError,
 )
-from .tableau import ButcherTableau, DenseWeights
+from .tableau import ButcherTableau, DenseWeights, check_stage_count
 
 GE_TOL = 1e-12          # slack allowed on the >= 0 side
 LE_TOL = 1e-12          # slack allowed on the <= 1 side
@@ -59,7 +62,9 @@ def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
     iden = np.eye(s)
     B = iden + r * tab.A
     if tab.explicit:
-        return solve_triangular(B, iden, lower=True, unit_diagonal=True)
+        # LAPACK's solve as scipy's solve_triangular calls it, minus that
+        # wrapper's overhead, which at these sizes is several times the solve.
+        return dtrtrs(B.T, iden, lower=0, trans=1, unitdiag=1)[0]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # pivot check below decides
@@ -92,43 +97,17 @@ class FeasibilityCheck:
 
 
 def _stage_conditions(tab: ButcherTableau, r: float, M: np.ndarray) -> list[Violation]:
-    violations = []
     AM = tab.A @ M
     bad = AM < -GE_TOL
-    for i, j in zip(*np.nonzero(bad)):
-        violations.append(
-            Violation("stage_nonneg", (int(i) + 1, int(j) + 1), float(AM[i, j]))
-        )
+    bad_rows, bad_cols = np.nonzero(bad)
+    violations = [
+        Violation("stage_nonneg", (i + 1, j + 1), value)
+        for i, j, value in zip(bad_rows.tolist(), bad_cols.tolist(), AM[bad].tolist())
+    ]
     rows = r * (AM @ np.ones(tab.s))
     for i in np.nonzero(rows > 1.0 + LE_TOL)[0]:
         violations.append(Violation("stage_bound", (int(i) + 1,), float(rows[i])))
     return violations
-
-
-def monotonicity_feasible_method(tab: ButcherTableau, r: float) -> FeasibilityCheck:
-    """Check all four absolute-monotonicity conditions at a single r >= 0.
-
-    A singular I + r*A counts as infeasible (the conditions need the inverse
-    to exist) and is reported distinctly.
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    try:
-        M = resolvent(tab, r)
-    except SingularMatrixError:
-        return FeasibilityCheck(
-            feasible=False,
-            violations=(Violation("singular", None, float("nan")),),
-            singular=True,
-        )
-    violations = _stage_conditions(tab, r, M)
-    bM = tab.b @ M
-    for j in np.nonzero(bM < -GE_TOL)[0]:
-        violations.append(Violation("weight_nonneg", (int(j) + 1,), float(bM[j])))
-    total = r * float(bM.sum())
-    if total > 1.0 + LE_TOL:
-        violations.append(Violation("weight_bound", None, total))
-    return FeasibilityCheck(feasible=not violations, violations=tuple(violations))
 
 
 class CertStatus(Enum):
@@ -158,9 +137,13 @@ def bernstein_matrix(n: int) -> np.ndarray:
 
 
 def monomial_to_bernstein(coeffs: np.ndarray) -> np.ndarray:
-    """Bernstein coefficients on [0,1] of a polynomial given in the monomial basis."""
-    c = poly.as_poly(coeffs)
-    return bernstein_matrix(len(c) - 1) @ c
+    """Bernstein coefficients on [0,1] of a polynomial given in the monomial
+    basis, or of each row of a matrix of such polynomials; degree <= 64."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    degree = c.shape[-1] - 1
+    if degree > 64:
+        raise DegreeTooHighError(f"degree {degree} exceeds 64")
+    return c @ bernstein_matrix(degree).T
 
 
 def _decasteljau_split(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +172,10 @@ def poly_nonneg_on_unit(
     All Bernstein coefficients nonnegative on a cell certifies that cell; an
     evaluation at a subdivision endpoint or midpoint below -witness_tol is a
     negative witness; otherwise the cell is split by de Casteljau up to
-    max_depth.  Inconclusive cells leave the verdict open rather than wrong.
+    max_depth; a cell with a non-finite coefficient is not split.
+    Inconclusive cells leave the verdict open rather than wrong.
     """
     c = poly.as_poly(coeffs)
-    if len(c) - 1 > 64:
-        raise DegreeTooHighError(f"degree {len(c) - 1} exceeds 64")
     stack = [(monomial_to_bernstein(c), 0.0, 1.0, 0)]
     deepest = 0
     nodes = 0
@@ -208,7 +190,7 @@ def poly_nonneg_on_unit(
             value = float(poly.evaluate(c, theta))
             if value < -witness_tol:
                 return PolyNonnegReport(CertStatus.NEGATIVE, theta, value, deepest)
-        if depth >= max_depth or nodes > max_nodes:
+        if depth >= max_depth or nodes > max_nodes or not np.isfinite(bern).all():
             inconclusive = True
             continue
         left, right = _decasteljau_split(bern)
@@ -220,12 +202,21 @@ def poly_nonneg_on_unit(
     return PolyNonnegReport(CertStatus.NONNEG, None, None, deepest)
 
 
-def monotonicity_feasible_dense(
-    tab: ButcherTableau, weights: DenseWeights, r: float
-) -> FeasibilityCheck:
-    """Feasibility of the dense conditions at one r: stage conditions plus
-    Bernstein-certified nonnegativity of every transformed weight component
-    and of the step-size budget polynomial on [0,1]."""
+def _condition_rows(M: np.ndarray, W: np.ndarray, r: float) -> np.ndarray:
+    """The (s+1) x (d+1) condition polynomials at r of the weights W (s x
+    (d+1), monomial coefficients): the rows of M'W, which must be >= 0, and
+    the budget 1 - r * sum_j (M'W)_j, which must be >= 0 too."""
+    rows = M.T @ W
+    budget = -r * rows.sum(axis=0)
+    budget[0] += 1.0
+    return np.vstack([rows, budget])
+
+
+def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> FeasibilityCheck:
+    """Stage conditions plus Bernstein-certified nonnegativity on [0,1] of
+    the condition polynomials of W, failing as label_nonneg or label_bound.
+    A singular I + r*A is infeasible (the conditions need the inverse) and
+    is reported distinctly."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     try:
@@ -237,41 +228,47 @@ def monotonicity_feasible_dense(
             singular=True,
         )
     violations = _stage_conditions(tab, r, M)
-    inconclusive = False
-    components = M.T @ weights.coeffs
-    budget = -r * components.sum(axis=0)
-    budget[0] += 1.0
-    # Same sign slack as the scalar checks: >=0 allows -GE_TOL and <=1 allows
+    rows = _condition_rows(M, W, r)
+    # Same sign slack as the stage checks: >=0 allows -GE_TOL and <=1 allows
     # 1+LE_TOL, folded into the constant coefficient before certification.
-    components = components.copy()
-    components[:, 0] += GE_TOL
-    budget[0] += LE_TOL
-    for j in range(tab.s):
-        report = poly_nonneg_on_unit(components[j])
+    rows[:-1, 0] += GE_TOL
+    rows[-1, 0] += LE_TOL
+    # Nonnegative Bernstein coefficients certify a row; NaN fails this test.
+    certified = (monomial_to_bernstein(rows) >= 0.0).all(axis=1)
+    inconclusive = False
+    for j in np.flatnonzero(~certified).tolist():
+        report = poly_nonneg_on_unit(rows[j])
         if report.certified is CertStatus.NEGATIVE:
+            if j < tab.s:
+                condition, index = f"{label}_nonneg", (j + 1,)
+            else:
+                condition, index = f"{label}_bound", None
             violations.append(
-                Violation(
-                    "dense_nonneg",
-                    (j + 1,),
-                    report.witness_value,
-                    theta=report.witness_theta,
-                )
+                Violation(condition, index, report.witness_value, theta=report.witness_theta)
             )
         elif report.certified is CertStatus.INCONCLUSIVE:
             inconclusive = True
-    report = poly_nonneg_on_unit(budget)
-    if report.certified is CertStatus.NEGATIVE:
-        violations.append(
-            Violation(
-                "dense_bound", None, report.witness_value, theta=report.witness_theta
-            )
-        )
-    elif report.certified is CertStatus.INCONCLUSIVE:
-        inconclusive = True
-    feasible = not violations and not inconclusive
     return FeasibilityCheck(
-        feasible=feasible, violations=tuple(violations), inconclusive=inconclusive
+        feasible=not violations and not inconclusive,
+        violations=tuple(violations),
+        inconclusive=inconclusive,
     )
+
+
+def monotonicity_feasible_method(tab: ButcherTableau, r: float) -> FeasibilityCheck:
+    """All four absolute-monotonicity conditions at a single r >= 0: the dense
+    conditions of the constant weights b."""
+    return _probe(tab, tab.b[:, None], r, "weight")
+
+
+def monotonicity_feasible_dense(
+    tab: ButcherTableau, weights: DenseWeights, r: float
+) -> FeasibilityCheck:
+    """Feasibility of the dense conditions at one r: stage conditions plus
+    Bernstein-certified nonnegativity of every transformed weight component
+    and of the step-size budget polynomial on [0,1]."""
+    check_stage_count(tab, weights)
+    return _probe(tab, weights.coeffs, r, "dense")
 
 
 @dataclass(frozen=True)
@@ -365,13 +362,7 @@ def dense_ssp_coefficient(
 def dense_ssp_coefficient_detailed(
     tab: ButcherTableau, weights: DenseWeights, tol: float = DEFAULT_BISECT_TOL
 ) -> SupResult:
-    if weights.s != tab.s:
-        raise DimensionMismatchError(
-            f"weights have {weights.s} rows, tableau has {tab.s} stages"
-        )
-    return _sup_by_bisection(
-        lambda r: monotonicity_feasible_dense(tab, weights, r), tol
-    )
+    return _sup_by_bisection(lambda r: monotonicity_feasible_dense(tab, weights, r), tol)
 
 
 def gamma_at(tab: ButcherTableau, r: float) -> float:
@@ -470,11 +461,12 @@ def compute_certificate(
         conservative = conservative or dense.conservative
         if dense.first_infeasible is not None:
             witnesses = witnesses + dense.first_infeasible.violations
-    gamma = gamma_at(tab, method.value)
     if method.value > 0:
         xineq = check_xineq(tab, r=method.value)
         holds, lhs, rhs = xineq.holds, xineq.lhs, xineq.rhs
+        gamma = lhs
     else:
+        gamma = gamma_at(tab, method.value)
         holds = lhs = rhs = None
     return SspCertificate(
         r_method=method.value,

@@ -39,6 +39,7 @@ from .tableau import (
     EXACT_TOL,
     ButcherTableau,
     DenseWeights,
+    check_stage_count,
     dense_order_residuals,
     method_order_residuals,
     validate_tableau,
@@ -109,8 +110,7 @@ def barrier_first_derivative(
     """True iff the weight derivatives at 0 are pinned the way any order-2
     dense output with positive combined SSP coefficient must have them:
     1 on stage 1 and 0 elsewhere."""
-    if weights.s != tab.s:
-        raise DimensionMismatchError("weights/tableau stage counts differ")
+    check_stage_count(tab, weights)
     d1 = weights.coeffs[:, 1] if weights.degree >= 1 else np.zeros(weights.s)
     return bool(abs(d1[0] - 1.0) <= tol and np.all(np.abs(d1[1:]) <= tol))
 
@@ -316,8 +316,7 @@ def chebyshev_lobatto(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
 
 
-def _prescreen(tab, order, degree, r) -> PrescreenViolation | None:
-    check = monotonicity_feasible_method(tab, r)
+def _prescreen(tab, order, degree, r, check) -> PrescreenViolation | None:
     stage_bad = [v for v in check.violations if v.condition.startswith("stage")]
     if check.singular or stage_bad:
         worst = stage_bad[0] if stage_bad else check.violations[0]
@@ -504,11 +503,12 @@ def lp_search(
         n_collocation = minimum
     elif n_collocation < minimum:
         raise InvalidArgumentError(f"need at least {minimum} collocation points")
-    if not monotonicity_feasible_method(tab, r).feasible:
+    method_check = monotonicity_feasible_method(tab, r)
+    if not method_check.feasible:
         warnings.warn(
             "requested r exceeds the method's SSP coefficient", stacklevel=2
         )
-    violation = _prescreen(tab, order, degree, r)
+    violation = _prescreen(tab, order, degree, r, method_check)
     if violation is not None:
         return SearchResult("infeasible", None, violation, n_collocation)
     relaxation = build_lp(tab, order, degree, r, n_collocation)

@@ -7,8 +7,9 @@ The implementation form writes the dense value as an affine combination
 i.e. a blend of the previous solution with forward-Euler substeps of size
 h/C.  Matching this against the weight form u_n + h sum_j w_j(theta) f(y_j)
 using the stage relations gives beta' = C w'(I + C A)^{-1} and
-mu = 1 - sum_j beta_j, which also enforces that the combination is affine.
-When the dense SSP coefficient is at least C, all beta_j and mu are
+mu = 1 - sum_j beta_j, which also enforces that the combination is affine:
+the condition rows of the dense SSP probe at r = C, the weight rows scaled by
+C.  When the dense SSP coefficient is at least C, all beta_j and mu are
 nonnegative on [0,1] and the combination is convex.
 """
 
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import resolvent
-from .errors import DimensionMismatchError, NonpositiveCError
+from .certify import _condition_rows, resolvent
+from .errors import NonpositiveCError
 from .integrate import Problem, step
-from .tableau import ButcherTableau, DenseWeights
+from .tableau import ButcherTableau, DenseWeights, check_stage_count
 
 
 @dataclass(frozen=True)
@@ -79,25 +80,19 @@ def to_shu_osher(
 ) -> ShuOsherDense:
     """Convert dense weights to Shu-Osher form at coefficient C > 0.
 
-    The beta polynomials come from solving (I + C A)' x = C w per theta
-    power; mu is defined as 1 minus their sum, which matches the published
+    The beta polynomials are C times the transformed weights (I + C A)^{-T} w
+    and mu is the step budget 1 - sum_j beta_j, which matches the published
     forms of the standard methods and makes the combination affine.
     Round trip: w' = beta'(I + C A) / C up to roundoff.
     """
     if C <= 0:
         raise NonpositiveCError("Shu-Osher conversion needs C > 0")
-    if weights.s != tab.s:
-        raise DimensionMismatchError(
-            f"weights have {weights.s} rows, tableau has {tab.s} stages"
-        )
-    s = tab.s
+    check_stage_count(tab, weights)
     M = resolvent(tab, C)
-    beta = C * (M.T @ weights.coeffs)
-    mu = -beta.sum(axis=0)
-    mu[0] += 1.0
+    rows = _condition_rows(M, weights.coeffs, C)
     alpha = C * (tab.A @ M)
-    v = M @ np.ones(s)
-    return ShuOsherDense(C=C, beta_bar=beta, mu=mu, stage_alpha=alpha, stage_v=v)
+    v = M @ np.ones(tab.s)
+    return ShuOsherDense(C=C, beta_bar=C * rows[:-1], mu=rows[-1], stage_alpha=alpha, stage_v=v)
 
 
 def from_shu_osher(tab: ButcherTableau, form: ShuOsherDense) -> DenseWeights:

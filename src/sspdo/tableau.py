@@ -17,6 +17,7 @@ from . import poly
 from .errors import (
     AbscissaMismatchError,
     DimensionMismatchError,
+    InvalidArgumentError,
     ZeroRowViolationError,
 )
 
@@ -29,7 +30,10 @@ def as_float(value) -> float:
     """Parse a coefficient: numbers pass through, strings like '1/3' are read
     as exact fractions and rounded to binary floating point once."""
     if isinstance(value, str):
-        return float(Fraction(value))
+        try:
+            return float(Fraction(value))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {value!r}") from exc
     if isinstance(value, (int, float, np.integer, np.floating)):
         return float(value)
     raise TypeError(f"cannot interpret {value!r} as a coefficient")
@@ -63,6 +67,8 @@ class ButcherTableau:
             raise DimensionMismatchError(
                 f"b has shape {b.shape}, expected ({A.shape[0]},)"
             )
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise InvalidArgumentError("A and b must be finite")
         c = A.sum(axis=1)
         explicit = not np.any(np.triu(A) != 0.0)
         for arr in (A, b, c):
@@ -123,6 +129,8 @@ class DenseWeights:
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.array(self.coeffs, dtype=float))
+        if not np.all(np.isfinite(coeffs)):
+            raise InvalidArgumentError("dense weight coefficients must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "s", coeffs.shape[0])
@@ -151,6 +159,14 @@ class DenseWeights:
 
     def __repr__(self):
         return f"DenseWeights(s={self.s}, degree={self.degree})"
+
+
+def check_stage_count(tab: ButcherTableau, weights: DenseWeights) -> None:
+    """Raise DimensionMismatchError unless the weights have one row per stage."""
+    if weights.s != tab.s:
+        raise DimensionMismatchError(
+            f"weights have {weights.s} rows, tableau has {tab.s} stages"
+        )
 
 
 @dataclass(frozen=True)
@@ -226,10 +242,7 @@ def dense_order_residuals(
     Each residual is computed exactly in the monomial basis; the reported
     max-norm on [0,1] is the exact max of the residual polynomial.
     """
-    if weights.s != tab.s:
-        raise DimensionMismatchError(
-            f"weights have {weights.s} rows, tableau has {tab.s} stages"
-        )
+    check_stage_count(tab, weights)
     c, A = tab.c, tab.A
     W = weights.coeffs
     width = max(weights.degree + 1, 4)
@@ -260,10 +273,7 @@ def endpoint_check(
     tab: ButcherTableau, weights: DenseWeights, tol: float = EXACT_TOL
 ) -> EndpointFlags:
     """Continuity flags: all weights vanish at theta=0; weights at theta=1 equal b."""
-    if weights.s != tab.s:
-        raise DimensionMismatchError(
-            f"weights have {weights.s} rows, tableau has {tab.s} stages"
-        )
+    check_stage_count(tab, weights)
     left = np.abs(weights.left_values())
     right = np.abs(weights.evaluate(1.0) - tab.b)
     return EndpointFlags(

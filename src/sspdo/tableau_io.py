@@ -13,7 +13,7 @@ import json
 import os
 
 from .errors import ParseError
-from .tableau import ButcherTableau, DenseWeights, validate_tableau
+from .tableau import ButcherTableau, DenseWeights, check_stage_count, validate_tableau
 
 
 def loads_tableau(text: str, source: str = "<string>"):
@@ -49,13 +49,9 @@ def loads_tableau(text: str, source: str = "<string>"):
             raise ParseError(f"{source}: field 'bbar' must be a list of rows")
         try:
             weights = DenseWeights.from_rows(bbar)
+            check_stage_count(tab, weights)
         except (ValueError, TypeError) as exc:
             raise ParseError(f"{source}: field 'bbar': {exc}") from exc
-        if weights.s != tab.s:
-            raise ParseError(
-                f"{source}: 'bbar' has {weights.s} rows but the method has "
-                f"{tab.s} stages"
-            )
     return tab, weights
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sspdo import registry
+from sspdo import certify, registry
 from sspdo.certify import (
     CertStatus,
     FeasibilityCheck,
@@ -19,7 +19,12 @@ from sspdo.certify import (
     ssp_coefficient,
 )
 from sspdo.construct import family_tableau, second_order_weights
-from sspdo.errors import DegreeTooHighError, InvalidArgumentError, PostVerificationError
+from sspdo.errors import (
+    DegreeTooHighError,
+    DimensionMismatchError,
+    InvalidArgumentError,
+    PostVerificationError,
+)
 from sspdo.tableau import ButcherTableau, DenseWeights, endpoint_check, validate_tableau
 
 ALL_KEYS = ["ssp222", "ssp322", "ssp332", "numexample-322"]
@@ -44,6 +49,18 @@ def test_negative_entry_witness():
     witness = [v for v in check.violations if v.condition == "stage_nonneg"]
     assert witness and witness[0].index == (2, 1)
     assert witness[0].value == pytest.approx(-1.0)
+
+
+def test_method_witness_uses_dense_convention():
+    # ssp222 at r = 2: b'(I + 2A)^{-1} = (-1/2, 1/2); the witness is the
+    # slack-folded constant row at theta = 0, as for dense weights
+    check = monotonicity_feasible_method(registry.get("ssp222").tableau, 2.0)
+    weight = [v for v in check.violations if v.condition.startswith("weight")]
+    assert len(weight) == 1
+    assert weight[0].condition == "weight_nonneg"
+    assert weight[0].index == (1,)
+    assert weight[0].theta == 0.0
+    assert weight[0].value == pytest.approx(-0.5 + 1e-12, abs=1e-15)
 
 
 def test_singular_reported_distinctly():
@@ -147,6 +164,97 @@ def test_dense_feasibility_reports_witnesses():
     assert not check.feasible
     kinds = {v.condition for v in check.violations}
     assert "dense_nonneg" in kinds
+
+
+def _count_subdivisions(monkeypatch):
+    calls = []
+    original = certify.poly_nonneg_on_unit
+
+    def counting(coeffs, **kwargs):
+        calls.append(coeffs)
+        return original(coeffs, **kwargs)
+
+    monkeypatch.setattr(certify, "poly_nonneg_on_unit", counting)
+    return calls
+
+
+def test_feasible_probe_never_subdivides(monkeypatch):
+    calls = _count_subdivisions(monkeypatch)
+    entry = registry.get("ssp322")
+    assert monotonicity_feasible_dense(entry.tableau, entry.dense_weights, 1.5).feasible
+    assert monotonicity_feasible_method(entry.tableau, 1.5).feasible
+    assert calls == []
+
+
+def test_infeasible_probe_subdivides_only_failing_rows(monkeypatch):
+    calls = _count_subdivisions(monkeypatch)
+    check = monotonicity_feasible_method(registry.get("ssp222").tableau, 2.0)
+    assert not check.feasible
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_probe_matches_per_row_certifier(seed):
+    # reference: every slack-folded condition row through the subdivision
+    # certifier on its own; weights b_j theta plus a random cubic part
+    rng = np.random.default_rng(seed)
+    tab = family_tableau(4)
+    coeffs = np.zeros((4, 4))
+    coeffs[:, 1] = tab.b
+    coeffs[:, 2:] = rng.uniform(-0.1, 0.1, size=(4, 2))
+    weights = DenseWeights(coeffs)
+    for r in (0.5, 1.5, 2.5, 3.0):
+        rows = certify._condition_rows(resolvent(tab, r), weights.coeffs, r)
+        rows[:-1, 0] += certify.GE_TOL
+        rows[-1, 0] += certify.LE_TOL
+        expected = all(
+            poly_nonneg_on_unit(row).certified is CertStatus.NONNEG for row in rows
+        )
+        check = monotonicity_feasible_dense(tab, weights, r)
+        assert check.feasible == expected
+        assert [v.condition for v in check.violations if v.condition.startswith("dense")] == [
+            "dense_bound" if j == 4 else "dense_nonneg"
+            for j, row in enumerate(rows)
+            if poly_nonneg_on_unit(row).certified is CertStatus.NEGATIVE
+        ]
+
+
+def test_nan_condition_rows_never_feasible():
+    tab = registry.get("ssp222").tableau
+    for W in (np.array([[np.nan], [0.5]]), np.array([[0.0, np.nan], [0.0, 0.5]])):
+        check = certify._probe(tab, W, 0.5, "dense")
+        assert not check.feasible
+    assert poly_nonneg_on_unit([np.nan, 1.0]).certified is CertStatus.INCONCLUSIVE
+
+
+def test_dense_probe_degree_limit():
+    # b_j * theta padded to degree 65: every row passes the sign check
+    tab = registry.get("ssp222").tableau
+    coeffs = np.zeros((2, 66))
+    coeffs[:, 1] = tab.b
+    with pytest.raises(DegreeTooHighError):
+        monotonicity_feasible_dense(tab, DenseWeights(coeffs), 0.5)
+
+
+def test_dense_probe_rejects_mismatched_weights():
+    with pytest.raises(DimensionMismatchError):
+        monotonicity_feasible_dense(
+            registry.get("ssp222").tableau, registry.nonssp_weights_322(), 0.5
+        )
+
+
+def test_certificate_computes_gamma_once(monkeypatch):
+    calls = []
+    original = certify.gamma_at
+
+    def counting(tab, r):
+        calls.append(r)
+        return original(tab, r)
+
+    monkeypatch.setattr(certify, "gamma_at", counting)
+    cert = compute_certificate(registry.get("ssp322").tableau)
+    assert len(calls) == 1
+    assert cert.gamma == cert.xineq_lhs
 
 
 def test_implication_dense_not_above_method():

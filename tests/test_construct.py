@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sspdo import registry
+from sspdo import construct, registry
 from sspdo.certify import (
     bernstein_matrix,
     dense_ssp_coefficient,
@@ -276,6 +276,20 @@ def test_lp_search_warns_and_screens_above_coefficient():
         result = lp_search(tab, order=1, degree=1, r=5.0)
     assert not result.feasible
     assert result.violated_necessary.condition == "stage-conditions-at-r"
+
+
+def test_lp_search_probes_the_method_once(monkeypatch):
+    calls = []
+    original = construct.monotonicity_feasible_method
+
+    def counting(tab, r):
+        calls.append(r)
+        return original(tab, r)
+
+    monkeypatch.setattr(construct, "monotonicity_feasible_method", counting)
+    result = lp_search(registry.get("ssp322").tableau, order=1, degree=1, r=2.0)
+    assert result.certified
+    assert calls == [2.0]
 
 
 def test_lp_equalities_shape_order2():

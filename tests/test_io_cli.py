@@ -297,6 +297,26 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"A": [[0, 0], ["1/0", 0]], "b": ["1/2", "1/2"]},
+        {"A": [[0, 0], [float("nan"), 0]], "b": ["1/2", "1/2"]},
+        {"A": [[0, 0], [1, 0]], "b": ["1/2", "1/2"],
+         "bbar": [[0, 1, "-1/2"], [0, 0, float("nan")]]},
+    ],
+    ids=["zero-denominator", "nan-in-A", "nan-in-bbar"],
+)
+def test_nonfinite_coefficient_exit_code(fields, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(fields))
+    assert main(["certify", "--tableau", str(path), "--dense", "--format", "record"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_figure1_record_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -5,11 +5,14 @@ from sspdo import registry
 from sspdo.errors import (
     AbscissaMismatchError,
     DimensionMismatchError,
+    InvalidArgumentError,
+    SspdoError,
     ZeroRowViolationError,
 )
 from sspdo.tableau import (
     ButcherTableau,
     DenseWeights,
+    as_float,
     dense_order_residuals,
     endpoint_check,
     method_order_residuals,
@@ -59,6 +62,23 @@ def test_rational_strings_parse_exactly():
     )
     assert tab.b[0] == 1.0 / 3.0
     assert abs(tab.b.sum() - 1.0) < 1e-15
+
+
+def test_zero_denominator_is_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_float("1/0")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_coefficients_rejected(bad):
+    for build in (
+        lambda: ButcherTableau(A=np.array([[0.0, 0.0], [bad, 0.0]]), b=np.array([0.5, 0.5])),
+        lambda: ButcherTableau(A=np.array([[0.0, 0.0], [1.0, 0.0]]), b=np.array([bad, 0.5])),
+        lambda: DenseWeights(np.array([[0.0, 1.0], [0.0, bad]])),
+    ):
+        with pytest.raises(InvalidArgumentError) as info:
+            build()
+        assert isinstance(info.value, SspdoError) and isinstance(info.value, ValueError)
 
 
 def test_explicit_flag():
