@@ -146,37 +146,33 @@ def monomial_to_bernstein(coeffs: np.ndarray) -> np.ndarray:
     return c @ bernstein_matrix(degree).T
 
 
-def _decasteljau_split(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = len(bern) - 1
-    left = np.empty_like(bern)
-    right = np.empty_like(bern)
-    work = bern.copy()
-    left[0] = work[0]
-    right[n] = work[n]
-    for level in range(1, n + 1):
-        work = 0.5 * (work[:-1] + work[1:])
-        left[level] = work[0]
-        right[n - level] = work[-1]
-    return left, right
+@functools.lru_cache(maxsize=None)
+def half_cell_matrices(n: int) -> np.ndarray:
+    """Read-only pair of (n+1) x (n+1) maps from degree-n Bernstein coefficients
+    to those of the left and right halves: left entry (k, i) is C(k,i)/2^k for
+    i <= k, and the right map is the left one reversed in both indices."""
+    left = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        for i in range(k + 1):
+            left[k, i] = math.comb(k, i) / 2**k
+    out = np.stack([left, left[::-1, ::-1]])
+    out.setflags(write=False)
+    return out
 
 
-def poly_nonneg_on_unit(
-    coeffs,
-    *,
-    max_depth: int = MAX_DEPTH,
-    witness_tol: float = WITNESS_TOL,
-    max_nodes: int = MAX_NODES,
-) -> PolyNonnegReport:
-    """Decide nonnegativity of a polynomial on [0,1].
+def poly_nonneg_on_unit(coeffs) -> PolyNonnegReport:
+    """Decide nonnegativity of a polynomial on [0,1] from Bernstein coefficients.
 
-    All Bernstein coefficients nonnegative on a cell certifies that cell; an
-    evaluation at a subdivision endpoint or midpoint below -witness_tol is a
-    negative witness; otherwise the cell is split by de Casteljau up to
-    max_depth; a cell with a non-finite coefficient is not split.
-    Inconclusive cells leave the verdict open rather than wrong.
+    All coefficients of a cell [a,b] nonnegative certifies it.  Otherwise its
+    end coefficients are p(a), p(b) and its halves share p(mid); the first of
+    p(a), p(mid), p(b) below -WITNESS_TOL is a negative witness, else both
+    halves are examined, right first, up to MAX_DEPTH and MAX_NODES; a cell
+    with a non-finite coefficient is not split.  Inconclusive cells leave the
+    verdict open rather than wrong.
     """
-    c = poly.as_poly(coeffs)
-    stack = [(monomial_to_bernstein(c), 0.0, 1.0, 0)]
+    bern = monomial_to_bernstein(poly.as_poly(coeffs))
+    halves = half_cell_matrices(len(bern) - 1)
+    stack = [(bern, 0.0, 1.0, 0)]
     deepest = 0
     nodes = 0
     inconclusive = False
@@ -186,15 +182,17 @@ def poly_nonneg_on_unit(
         deepest = max(deepest, depth)
         if np.all(bern >= 0.0):
             continue
-        for theta in (a, 0.5 * (a + b), b):
-            value = float(poly.evaluate(c, theta))
-            if value < -witness_tol:
-                return PolyNonnegReport(CertStatus.NEGATIVE, theta, value, deepest)
-        if depth >= max_depth or nodes > max_nodes or not np.isfinite(bern).all():
+        if not np.isfinite(bern).all():
             inconclusive = True
             continue
-        left, right = _decasteljau_split(bern)
+        left, right = halves @ bern
         mid = 0.5 * (a + b)
+        for theta, value in ((a, bern[0]), (mid, left[-1]), (b, bern[-1])):
+            if value < -WITNESS_TOL:
+                return PolyNonnegReport(CertStatus.NEGATIVE, theta, float(value), deepest)
+        if depth >= MAX_DEPTH or nodes > MAX_NODES:
+            inconclusive = True
+            continue
         stack.append((left, a, mid, depth + 1))
         stack.append((right, mid, b, depth + 1))
     if inconclusive:

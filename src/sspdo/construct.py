@@ -42,7 +42,6 @@ from .tableau import (
     check_stage_count,
     dense_order_residuals,
     method_order_residuals,
-    validate_tableau,
 )
 
 #: Degree elevation of the Bernstein restriction LP above the weight degree.
@@ -59,7 +58,7 @@ def family_tableau(s: int) -> ButcherTableau:
     A = np.zeros((s, s))
     A[np.tril_indices(s, -1)] = 1.0 / (s - 1)
     b = np.full(s, 1.0 / s)
-    return validate_tableau(A, b, name=f"family-s{s}")
+    return ButcherTableau(A=A, b=b, name=f"family-s{s}")
 
 
 def is_family_member(tab: ButcherTableau, tol: float = 1e-12) -> bool:

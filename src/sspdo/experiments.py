@@ -19,10 +19,6 @@ from .tableau import validate_tableau
 CSV_HEADER = "u0,t,theta,u,formula"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 @dataclass(frozen=True)
 class Figure1Summary:
     h: float
@@ -75,6 +71,7 @@ def run_figure1(
     problem = sinode(dimension=n_u0)
     traj = integrate_fixed(entry.tableau, problem, u0s, 0.0, h, n_steps)
 
+    u0_texts = [repr(u0) for u0 in u0s.tolist()]
     writers = {}
     handles = []
     try:
@@ -100,13 +97,12 @@ def run_figure1(
                 st["max"] = max(st["max"], float(values.max()))
                 if formula in writers:
                     handle = writers[formula]
-                    for it, theta in enumerate(thetas):
-                        t = (n + theta) * h
-                        for iu, u0 in enumerate(u0s):
-                            handle.write(
-                                f"{_fmt(u0)},{_fmt(t)},{_fmt(theta)},"
-                                f"{_fmt(values[it, iu])},{formula}\n"
-                            )
+                    for theta, row in zip(thetas.tolist(), values.tolist()):
+                        middle = f",{float((n + theta) * h)!r},{theta!r},"
+                        handle.writelines(
+                            f"{u0}{middle}{value!r},{formula}\n"
+                            for u0, value in zip(u0_texts, row)
+                        )
     finally:
         for handle in handles:
             handle.close()

@@ -126,6 +126,19 @@ def integrate_fixed(
     )
 
 
+def _check_dense_args(traj: Trajectory, weights: DenseWeights, n: int, thetas) -> None:
+    """A stored step index, every theta in [0,1] (NaN is not), and one weight
+    row per stored stage."""
+    if not 0 <= n < traj.n_steps:
+        raise IndexError(f"step index {n} outside [0, {traj.n_steps})")
+    thetas = np.asarray(thetas)
+    outside = ~((thetas >= 0.0) & (thetas <= 1.0))
+    if outside.any():
+        raise InvalidArgumentError(f"theta {thetas[outside][0]} outside [0, 1]")
+    if weights.s != traj.stage_derivs.shape[1]:
+        raise DimensionMismatchError("weights do not match the stored stage count")
+
+
 def dense_eval(
     traj: Trajectory, weights: DenseWeights, n: int, theta: float
 ) -> np.ndarray:
@@ -134,12 +147,7 @@ def dense_eval(
     The solution is defined piecewise over the steps, so theta always lives
     in [0,1].
     """
-    if not 0 <= n < traj.n_steps:
-        raise IndexError(f"step index {n} outside [0, {traj.n_steps})")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta {theta} outside [0, 1]")
-    if weights.s != traj.stage_derivs.shape[1]:
-        raise DimensionMismatchError("weights do not match the stored stage count")
+    _check_dense_args(traj, weights, n, theta)
     wv = weights.evaluate(theta)
     return traj.states[n] + traj.h * (wv @ traj.stage_derivs[n])
 
@@ -148,11 +156,8 @@ def dense_eval_grid(
     traj: Trajectory, weights: DenseWeights, n: int, thetas
 ) -> np.ndarray:
     """Vectorized dense_eval over a theta grid; shape (len(thetas), dim)."""
-    if not 0 <= n < traj.n_steps:
-        raise IndexError(f"step index {n} outside [0, {traj.n_steps})")
     thetas = np.asarray(thetas, dtype=float)
-    if np.any((thetas < 0.0) | (thetas > 1.0)):
-        raise ValueError("theta grid must lie in [0, 1]")
+    _check_dense_args(traj, weights, n, thetas)
     powers = thetas[:, None] ** np.arange(weights.degree + 1)[None, :]
     wv = powers @ weights.coeffs.T  # (n_theta, s)
     return traj.states[n][None, :] + traj.h * (wv @ traj.stage_derivs[n])

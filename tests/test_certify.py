@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sspdo import certify, registry
+from sspdo import certify, poly, registry
 from sspdo.certify import (
     CertStatus,
     FeasibilityCheck,
@@ -11,6 +11,7 @@ from sspdo.certify import (
     compute_certificate,
     dense_ssp_coefficient,
     gamma_at,
+    half_cell_matrices,
     monomial_to_bernstein,
     monotonicity_feasible_dense,
     monotonicity_feasible_method,
@@ -332,6 +333,76 @@ def test_certifier_against_dense_sampling(seed):
         assert sampled_min >= -1e-12
     elif report.certified is CertStatus.NEGATIVE:
         assert report.witness_value < 0
+
+
+def _de_casteljau_halves(bern):
+    # reference: the left and right halves by repeated averaging at 1/2
+    work = np.array(bern, dtype=float)
+    left, right = [work[0]], [work[-1]]
+    while len(work) > 1:
+        work = 0.5 * (work[:-1] + work[1:])
+        left.append(work[0])
+        right.append(work[-1])
+    return np.array(left), np.array(right[::-1])
+
+
+def test_half_cell_matrices_match_de_casteljau():
+    rng = np.random.default_rng(0)
+    for n in range(1, 65):
+        left, right = half_cell_matrices(n)
+        assert left.shape == right.shape == (n + 1, n + 1)
+        for _ in range(3):
+            bern = rng.normal(size=n + 1)
+            ref_left, ref_right = _de_casteljau_halves(bern)
+            scale = np.max(np.abs(bern))
+            assert np.max(np.abs(left @ bern - ref_left)) <= 1e-14 * scale
+            assert np.max(np.abs(right @ bern - ref_right)) <= 1e-14 * scale
+
+
+def test_half_cell_matrices_are_cached_and_read_only():
+    matrices = half_cell_matrices(7)
+    assert half_cell_matrices(7) is matrices
+    assert not matrices.flags.writeable
+
+
+def test_certifier_never_evaluates_the_polynomial(monkeypatch):
+    # witnesses come from Bernstein coefficients, never from re-evaluation
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial evaluated")
+
+    monkeypatch.setattr(poly, "evaluate", refuse)
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", refuse)
+    assert poly_nonneg_on_unit([0.0, -2.0, 1.0]).certified is CertStatus.NEGATIVE
+    inconclusive = poly_nonneg_on_unit([1.0 / 9.0, -2.0 / 3.0, 1.0])
+    assert inconclusive.certified is CertStatus.INCONCLUSIVE
+    assert poly_nonneg_on_unit([0.25, -1.0, 1.0]).certified is CertStatus.NONNEG
+    entry = registry.get("numexample-322")
+    check = monotonicity_feasible_dense(entry.tableau, registry.nonssp_weights_322(), 0.5)
+    assert not check.feasible
+    assert any(v.condition == "dense_nonneg" for v in check.violations)
+
+
+def test_node_bound_ends_subdivision(monkeypatch):
+    # a degree-64 row at -1e-16 never certifies and never yields a witness
+    # (WITNESS_TOL is 1e-15); with the depth bound lifted, only MAX_NODES
+    # can end its subdivision
+    monkeypatch.setattr(certify, "MAX_NODES", 1_000)
+    monkeypatch.setattr(certify, "MAX_DEPTH", 1_000_000)
+    row = np.zeros(65)
+    row[0] = -1e-16
+    report = poly_nonneg_on_unit(row)
+    assert report.certified is CertStatus.INCONCLUSIVE
+    assert report.depth < certify.MAX_DEPTH
+    assert report.depth <= certify.MAX_NODES
+
+
+def test_negative_witness_is_the_shared_midpoint_coefficient():
+    # Bernstein coefficients [0, -1, -1]: p(0) = 0 is no witness, and the
+    # halves share p(1/2) = -3/4
+    report = poly_nonneg_on_unit([0.0, -2.0, 1.0])
+    assert report.certified is CertStatus.NEGATIVE
+    assert report.witness_theta == 0.5
+    assert report.witness_value == -0.75
 
 
 # ------------------------------------------------------------------ xineq

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sspdo import construct, registry
+from sspdo import construct, registry, tableau
 from sspdo.certify import (
     bernstein_matrix,
     dense_ssp_coefficient,
@@ -48,6 +48,25 @@ def test_family_s3_entries():
 
 def test_family_s5_coefficient():
     assert ssp_coefficient(family_tableau(5)) == pytest.approx(4.0, abs=1e-8)
+
+
+def test_family_single_zero_row_is_row_one():
+    # the structural rule validate_tableau enforces holds by construction
+    for s in range(2, 41):
+        assert family_tableau(s).zero_rows() == [0]
+
+
+def test_family_tableau_parses_no_coefficient(monkeypatch):
+    calls = []
+    original = tableau.as_float
+
+    def counting(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(tableau, "as_float", counting)
+    family_tableau(40)
+    assert calls == []
 
 
 def test_family_rejects_one_stage():

@@ -4,7 +4,9 @@ import pytest
 from sspdo import registry
 from sspdo.construct import first_order_weights
 from sspdo.errors import (
+    DimensionMismatchError,
     ExactSolutionMissingError,
+    InvalidArgumentError,
     NonfiniteStateError,
     StructureError,
 )
@@ -97,6 +99,21 @@ def test_dense_eval_range_checks():
         dense_eval(traj, entry.dense_weights, 3, 0.5)
     with pytest.raises(ValueError):
         dense_eval(traj, entry.dense_weights, 0, 1.5)
+
+
+def test_dense_eval_grid_argument_checks():
+    entry = registry.get("ssp322")
+    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.0, 0.7, 2)
+    for thetas in ([0.5, float("nan")], [0.5, 1.5]):
+        with pytest.raises(InvalidArgumentError):
+            dense_eval_grid(traj, entry.dense_weights, 1, thetas)
+    with pytest.raises(InvalidArgumentError):
+        dense_eval(traj, entry.dense_weights, 1, float("nan"))
+    two_stage = registry.get("ssp222").dense_weights
+    with pytest.raises(DimensionMismatchError):
+        dense_eval_grid(traj, two_stage, 1, [0.5])
+    with pytest.raises(DimensionMismatchError):
+        dense_eval(traj, two_stage, 1, 0.5)
 
 
 def test_dense_eval_grid_matches_scalar():

@@ -10,6 +10,9 @@ import sspdo
 from sspdo import registry
 from sspdo.cli import main
 from sspdo.errors import ParseError
+from sspdo.experiments import run_figure1
+from sspdo.integrate import dense_eval_grid, integrate_fixed
+from sspdo.problems import sinode
 from sspdo.tableau_io import (
     dumps_tableau,
     load_tableau_file,
@@ -209,6 +212,25 @@ def test_bad_argument_exit_code(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--method", "nosuch"],
+         "unknown method 'nosuch'; available: "
+         "['numexample-322', 'ssp222', 'ssp322', 'ssp332'] or family-s<k>"),
+        (["integrate", "--method", "ssp222", "--problem", "nope", "--u0", "0.3",
+          "--h", "0.5", "--steps", "3"],
+         "unknown problem 'nope'; available: ['linear', 'quadrature', 'sinode']"),
+    ],
+    ids=["unknown-method", "unknown-problem"],
+)
+def test_unknown_name_error_is_unquoted(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def _run_cli(argv, env_extra=None):
     # a subprocess with a timeout, so a bisection that never ends fails the test
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
@@ -335,6 +357,28 @@ def test_figure1_record_and_determinism(tmp_path, capsys):
             assert f1.read() == f2.read()
     header = open(out1 / "ssp.csv").readline().strip()
     assert header == "u0,t,theta,u,formula"
+
+
+def test_figure1_csv_matches_per_value_repr(tmp_path):
+    # reference text: every field through repr(float(x)), one at a time
+    h, n_u0, n_theta, n_steps = 1.6, 3, 4, 2
+    run_figure1(h=h, out_dir=str(tmp_path), n_u0=n_u0, n_theta=n_theta, n_steps=n_steps)
+    entry = registry.get("numexample-322")
+    u0s = np.linspace(0.0, 1.0, n_u0)
+    thetas = np.linspace(0.0, 1.0, n_theta)
+    traj = integrate_fixed(entry.tableau, sinode(dimension=n_u0), u0s, 0.0, h, n_steps)
+    weight_sets = {"ssp": entry.dense_weights, "nonssp": registry.nonssp_weights_322()}
+    for formula, weights in weight_sets.items():
+        lines = ["u0,t,theta,u,formula\n"]
+        for n in range(n_steps):
+            values = dense_eval_grid(traj, weights, n, thetas)
+            for it, theta in enumerate(thetas):
+                t = (n + theta) * h
+                for iu, u0 in enumerate(u0s):
+                    fields = (u0, t, theta, values[it, iu])
+                    lines.append(",".join(repr(float(x)) for x in fields) + f",{formula}\n")
+        expected = "".join(lines).encode("utf-8")
+        assert (tmp_path / f"{formula}.csv").read_bytes() == expected
 
 
 def test_figure1_rejects_zero_step(capsys):
