@@ -277,12 +277,16 @@ class SupResult:
     conservative: bool
 
 
-def _sup_by_bisection(probe, tol: float, cap: float = R_CAP) -> SupResult:
+def _sup_by_bisection(probe, tol: float) -> SupResult:
     """Bisection for sup{r >= 0 : probe(r) feasible} over an interval-shaped set.
 
-    Both endpoints are post-verified so a non-interval pathology surfaces as
-    an error rather than a wrong answer.  Bisection stops at tol or once the
-    bracket cannot be split in floating point, whichever comes first.
+    Every radius is probed once.  lo is always the last radius that probed
+    feasible (1e-10, a doubling point or a midpoint), so it needs no second
+    probe; only the radius just above the sup is post-verified, and a
+    feasible probe there, like one at 1e-8 after an infeasible 1e-10, means a
+    non-interval set and surfaces as an error rather than a wrong answer.
+    Bisection stops at tol or once the bracket cannot be split in floating
+    point, whichever comes first.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tolerance must be finite and positive, got {tol}")
@@ -306,12 +310,12 @@ def _sup_by_bisection(probe, tol: float, cap: float = R_CAP) -> SupResult:
     lo, hi = 1e-10, 1.0
     first_bad = None
     while True:
-        if hi >= cap:
-            check = run(cap)
+        if hi >= R_CAP:
+            check = run(R_CAP)
             if check.feasible:
-                return SupResult(cap, None, True, conservative)
+                return SupResult(R_CAP, None, True, conservative)
             first_bad = check
-            hi = cap
+            hi = R_CAP
             break
         check = run(hi)
         if not check.feasible:
@@ -326,10 +330,6 @@ def _sup_by_bisection(probe, tol: float, cap: float = R_CAP) -> SupResult:
             lo = mid
         else:
             hi = mid
-    if not run(lo).feasible:
-        raise PostVerificationError(
-            f"post-verification failed: r={lo} probed infeasible", r=lo
-        )
     upper = lo * (1.0 + 1e-8) + 1e-8
     if run(upper).feasible:
         raise PostVerificationError(

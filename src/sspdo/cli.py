@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import poly, registry
-from .certify import compute_certificate
+from .certify import DEFAULT_BISECT_TOL, compute_certificate
 from .construct import first_order_weights, lp_search, second_order_weights
 from .errors import SspdoError
 from .experiments import (
@@ -29,8 +29,6 @@ from .problems import get_problem
 from .shu_osher import to_shu_osher
 from .tableau import as_float
 from .tableau_io import load_tableau_file
-
-DEFAULT_TOL = 1e-10
 
 
 def _emit(record: dict) -> None:
@@ -179,17 +177,19 @@ def _cmd_experiment(args) -> int:
                 )
         return 0
     if args.experiment == "convergence":
-        rows = run_convergence_tables()
+        studies = run_convergence_tables()
         if args.format == "record":
-            _emit({"rows": [row.as_record() for row in rows]})
+            _emit(
+                {"rows": [{"label": label, **study.as_record()} for label, study in studies]}
+            )
         else:
-            for row in rows:
+            for label, study in studies:
                 dense = (
-                    f", dense slope {row.dense_slope:.3f}"
-                    if row.dense_slope is not None
+                    f", dense slope {study.dense_slope:.3f}"
+                    if study.dense_slope is not None
                     else ""
                 )
-                print(f"{row.label}: step slope {row.step_slope:.3f}{dense}")
+                print(f"{label}: step slope {study.step_slope:.3f}{dense}")
         return 0
     raise SystemExit(f"unknown experiment {args.experiment!r}")
 
@@ -219,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense", action="store_true", help="also certify dense weights")
     # A string default goes through type=float only when --tol is absent, so
     # a malformed SSPDO_TOL is a usage error of certify alone.
-    p.add_argument("--tol", type=float, default=os.environ.get("SSPDO_TOL") or DEFAULT_TOL)
+    p.add_argument(
+        "--tol", type=float, default=os.environ.get("SSPDO_TOL") or DEFAULT_BISECT_TOL
+    )
     add_format(p)
     p.set_defaults(func=_cmd_certify)
 

@@ -31,6 +31,7 @@ from .certify import (
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
+    IterationLimitError,
     RepeatedAbscissaeError,
     StructureError,
 )
@@ -40,6 +41,7 @@ from .tableau import (
     ButcherTableau,
     DenseWeights,
     check_stage_count,
+    dense_order_conditions,
     dense_order_residuals,
     method_order_residuals,
 )
@@ -253,8 +255,6 @@ class LpProblem:
 
     s: int
     degree: int
-    r: float
-    order: int
     A_eq: np.ndarray
     b_eq: np.ndarray
     conditions: np.ndarray
@@ -354,14 +354,10 @@ def _equalities(tab, order, D, r) -> tuple[np.ndarray, np.ndarray]:
     """Monomial-coefficient rows of the dense order conditions up to order,
     then the derivative pins at theta=0 when order >= 2 and r > 0."""
     s = tab.s
-    conditions = [(np.ones(s), [0.0, 1.0])]
-    if order >= 2:
-        conditions.append((tab.c, [0.0, 0.0, 0.5]))
-    if order >= 3:
-        conditions.append((tab.c * tab.c, [0.0, 0.0, 0.0, 1.0 / 3.0]))
-        conditions.append((tab.A @ tab.c, [0.0, 0.0, 0.0, 1.0 / 6.0]))
     blocks, rhs = [], []
-    for stage_factors, target in conditions:
+    for _, level, stage_factors, target in dense_order_conditions(tab):
+        if level > order:
+            continue
         target = poly.pad(target, D + 1)
         blocks.append(np.kron(stage_factors, np.eye(D)))
         rhs.append(target[1 : D + 1])
@@ -417,8 +413,6 @@ def build_lp(
     return LpProblem(
         s=tab.s,
         degree=degree,
-        r=r,
-        order=order,
         A_eq=A_eq,
         b_eq=b_eq,
         conditions=conditions,
@@ -488,8 +482,9 @@ def lp_search(
     3. the relaxation at D + ELEVATION + 1 points, which can still prove
        "infeasible"; otherwise the verdict is "inconclusive".
 
-    Every "feasible" carries weights certified continuously in the Bernstein
-    basis; "infeasible" and "inconclusive" carry none.
+    An LP that reaches the solver's iteration bound ends the search
+    "inconclusive".  Every "feasible" carries weights certified continuously
+    in the Bernstein basis; "infeasible" and "inconclusive" carry none.
     """
     if order not in (1, 2, 3):
         raise InvalidArgumentError("order must be 1, 2, or 3")
@@ -511,17 +506,21 @@ def lp_search(
     if violation is not None:
         return SearchResult("infeasible", None, violation, n_collocation)
     relaxation = build_lp(tab, order, degree, r, n_collocation)
-    x = _solve_lp(relaxation)
-    if x is None:
-        return SearchResult("infeasible", None, collocation=n_collocation)
-    weights = _weights_from_solution(relaxation, x)
-    if _certify_candidate(tab, weights, order, r):
-        return SearchResult("feasible", weights, collocation=n_collocation)
-    x = _solve_lp(replace(relaxation, basis=_bernstein_basis(degree)))
-    if x is not None:
+    fine = degree + ELEVATION + 1
+    try:
+        x = _solve_lp(relaxation)
+        if x is None:
+            return SearchResult("infeasible", None, collocation=n_collocation)
         weights = _weights_from_solution(relaxation, x)
         if _certify_candidate(tab, weights, order, r):
             return SearchResult("feasible", weights, collocation=n_collocation)
-    fine = degree + ELEVATION + 1
-    x = _solve_lp(replace(relaxation, basis=_collocation_basis(fine, degree)))
+        x = _solve_lp(replace(relaxation, basis=_bernstein_basis(degree)))
+        if x is not None:
+            weights = _weights_from_solution(relaxation, x)
+            if _certify_candidate(tab, weights, order, r):
+                return SearchResult("feasible", weights, collocation=n_collocation)
+        x = _solve_lp(replace(relaxation, basis=_collocation_basis(fine, degree)))
+    except IterationLimitError:
+        # An LP stopped at the iteration bound decides nothing.
+        return SearchResult("inconclusive", None, collocation=fine)
     return SearchResult("infeasible" if x is None else "inconclusive", None, collocation=fine)

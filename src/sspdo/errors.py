@@ -63,8 +63,12 @@ class InvalidArgumentError(SspdoError, ValueError):
 
 
 class NumericalCycleError(SspdoError, RuntimeError):
-    """The LP solver stopped without a feasibility verdict (iteration limit or
-    numerical breakdown)."""
+    """The LP solver stopped without a feasibility verdict (numerical
+    breakdown, or the iteration bound of IterationLimitError)."""
+
+
+class IterationLimitError(NumericalCycleError):
+    """The LP solver reached its iteration bound before a verdict."""
 
 
 class PostVerificationError(SspdoError, RuntimeError):

@@ -9,10 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .certify import check_xineq, dense_ssp_coefficient, ssp_coefficient
+from .certify import DEFAULT_BISECT_TOL, compute_certificate
 from .construct import family_tableau, first_order_weights, second_order_weights
 from .errors import InvalidArgumentError
-from .integrate import convergence_study, dense_eval_grid, integrate_fixed
+from .integrate import (
+    ConvergenceStudy,
+    convergence_study,
+    dense_eval_grid,
+    integrate_fixed,
+)
 from .problems import sinode
 from .tableau import validate_tableau
 
@@ -141,7 +146,9 @@ class SweepRow:
         }
 
 
-def run_certification_sweep(s_max: int, tol: float = 1e-10) -> list[SweepRow]:
+def run_certification_sweep(
+    s_max: int, tol: float = DEFAULT_BISECT_TOL
+) -> list[SweepRow]:
     """Certify the s-stage family members for s = 2..s_max: method coefficient,
     budget-inequality verdict, and the dense coefficient of the quadratic
     recipe.  The budget inequality holds through s = 4 and fails from s = 5 on,
@@ -152,42 +159,17 @@ def run_certification_sweep(s_max: int, tol: float = 1e-10) -> list[SweepRow]:
     rows = []
     for s in range(2, s_max + 1):
         tab = family_tableau(s)
-        c_method = ssp_coefficient(tab, tol)
-        xineq = check_xineq(tab, r=c_method)
-        weights = second_order_weights(tab)
-        c_dense = dense_ssp_coefficient(tab, weights, tol)
+        cert = compute_certificate(tab, second_order_weights(tab), tol)
         rows.append(
             SweepRow(
                 s=s,
-                c_method=c_method,
-                gamma=xineq.lhs,
-                xineq_holds=xineq.holds,
-                c_dense=c_dense,
+                c_method=cert.r_method,
+                gamma=cert.gamma,
+                xineq_holds=cert.xineq_holds,
+                c_dense=cert.r_dense,
             )
         )
     return rows
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    label: str
-    step_slope: float
-    dense_slope: float | None
-    hs: tuple[float, ...]
-    step_errors: tuple[float, ...]
-    dense_errors: tuple[float, ...] | None
-
-    def as_record(self) -> dict:
-        return {
-            "label": self.label,
-            "step_slope": self.step_slope,
-            "dense_slope": self.dense_slope,
-            "hs": list(self.hs),
-            "step_errors": list(self.step_errors),
-            "dense_errors": None
-            if self.dense_errors is None
-            else list(self.dense_errors),
-        }
 
 
 STUDY_HS = (0.2, 0.1, 0.05, 0.025)
@@ -197,8 +179,9 @@ STUDY_T_END = 2.0
 
 def run_convergence_tables(
     hs=STUDY_HS, u0: float = STUDY_U0, t_end: float = STUDY_T_END
-) -> list[ConvergenceRow]:
-    """Three standard studies on the oscillating logistic problem:
+) -> list[tuple[str, ConvergenceStudy]]:
+    """(label, study) for three standard studies on the oscillating logistic
+    problem:
 
     - three-stage second-order method with its quadratic dense weights
       (dense slope ~2),
@@ -214,17 +197,7 @@ def run_convergence_tables(
         ("euler+linear", fe, first_order_weights(fe)),
         ("ssp332-steps", entry332.tableau, None),
     ]
-    rows = []
-    for label, tab, weights in cases:
-        study = convergence_study(tab, weights, problem, u0, t_end, hs)
-        rows.append(
-            ConvergenceRow(
-                label=label,
-                step_slope=study.step_slope,
-                dense_slope=study.dense_slope,
-                hs=study.hs,
-                step_errors=study.step_errors,
-                dense_errors=study.dense_errors,
-            )
-        )
-    return rows
+    return [
+        (label, convergence_study(tab, weights, problem, u0, t_end, hs))
+        for label, tab, weights in cases
+    ]

@@ -43,21 +43,20 @@ class Problem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step solution with stored stage data.
+    """Fixed-step solution with stored stage derivatives.
 
-    states has shape (n_steps+1, dim); stage_values and stage_derivs have
-    shape (n_steps, s, dim).
+    states has shape (n_steps+1, dim); stage_derivs has shape
+    (n_steps, s, dim).
     """
 
     t0: float
     h: float
     states: np.ndarray
-    stage_values: np.ndarray
     stage_derivs: np.ndarray
     n_steps: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("states", "stage_values", "stage_derivs"):
+        for name in ("states", "stage_derivs"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -95,7 +94,7 @@ def integrate_fixed(
     h: float,
     n_steps: int,
 ) -> Trajectory:
-    """March n_steps uniform steps from u0, storing all stage data."""
+    """March n_steps uniform steps from u0, storing the stage derivatives."""
     if not h > 0:
         raise InvalidStepSizeError(f"step size must be positive, got {h}")
     if n_steps < 0:
@@ -103,15 +102,12 @@ def integrate_fixed(
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     dim = u0.shape[0]
     states = np.empty((n_steps + 1, dim))
-    stage_values = np.empty((n_steps, tab.s, dim))
     stage_derivs = np.empty((n_steps, tab.s, dim))
     states[0] = u0
     t = t0
     for n in range(n_steps):
         try:
-            states[n + 1], stage_values[n], stage_derivs[n] = step(
-                tab, problem, t, states[n], h
-            )
+            states[n + 1], _, stage_derivs[n] = step(tab, problem, t, states[n], h)
         except NonfiniteStateError as exc:
             raise NonfiniteStateError(
                 f"nonfinite state at step {n}", step_index=n
@@ -121,7 +117,6 @@ def integrate_fixed(
         t0=t0,
         h=h,
         states=states,
-        stage_values=stage_values,
         stage_derivs=stage_derivs,
     )
 
@@ -173,11 +168,11 @@ class ConvergenceStudy:
 
     def as_record(self) -> dict:
         return {
+            "step_slope": self.step_slope,
+            "dense_slope": self.dense_slope,
             "hs": list(self.hs),
             "step_errors": list(self.step_errors),
             "dense_errors": None if self.dense_errors is None else list(self.dense_errors),
-            "step_slope": self.step_slope,
-            "dense_slope": self.dense_slope,
         }
 
 

@@ -25,21 +25,9 @@ class MethodRegistryEntry:
     dense_order: int | None
 
 
-def _entry(key, tableau, dense_weights, c_method, c_combined, order, dense_order):
-    return MethodRegistryEntry(
-        key=key,
-        tableau=tableau,
-        dense_weights=dense_weights,
-        c_method=c_method,
-        c_combined=c_combined,
-        order=order,
-        dense_order=dense_order,
-    )
-
-
 def _ssp222():
     tab = validate_tableau([[0, 0], [1, 0]], ["1/2", "1/2"], name="SSP(2,2,2)")
-    return _entry("ssp222", tab, second_order_weights(tab), 1.0, 1.0, 2, 2)
+    return MethodRegistryEntry("ssp222", tab, second_order_weights(tab), 1.0, 1.0, 2, 2)
 
 
 def _ssp322():
@@ -48,7 +36,7 @@ def _ssp322():
         ["1/3", "1/3", "1/3"],
         name="SSP(3,2,2)",
     )
-    return _entry("ssp322", tab, second_order_weights(tab), 2.0, 2.0, 2, 2)
+    return MethodRegistryEntry("ssp322", tab, second_order_weights(tab), 2.0, 2.0, 2, 2)
 
 
 def _ssp332():
@@ -57,7 +45,7 @@ def _ssp332():
         ["1/6", "1/6", "2/3"],
         name="SSP(3,3,2)",
     )
-    return _entry("ssp332", tab, second_order_weights(tab), 1.0, 1.0, 3, 2)
+    return MethodRegistryEntry("ssp332", tab, second_order_weights(tab), 1.0, 1.0, 3, 2)
 
 
 def _numexample322():
@@ -69,7 +57,9 @@ def _numexample322():
         ["1/3", "1/3", "1/3"],
         name="numexample-322",
     )
-    return _entry("numexample-322", tab, second_order_weights(tab), 2.0, 2.0, 2, 2)
+    return MethodRegistryEntry(
+        "numexample-322", tab, second_order_weights(tab), 2.0, 2.0, 2, 2
+    )
 
 
 _BUILTIN = {
@@ -88,12 +78,12 @@ def get(key: str) -> MethodRegistryEntry:
         s = int(match.group(1))
         tab = family_tableau(s)
         if s <= 4:
-            return _entry(
+            return MethodRegistryEntry(
                 key, tab, second_order_weights(tab), float(s - 1), float(s - 1), 2, 2
             )
         # No quadratic dense output keeps the full coefficient for s >= 5,
         # and no larger-degree formula is documented; ship the method alone.
-        return _entry(key, tab, None, float(s - 1), None, 2, None)
+        return MethodRegistryEntry(key, tab, None, float(s - 1), None, 2, None)
     raise KeyError(f"unknown method {key!r}; available: {keys()} or family-s<k>")
 
 

@@ -3,7 +3,7 @@
 Finds x >= 0 with A_eq x = b_eq and A_ub x <= b_ub, or proves there is none,
 by handing a zero objective to scipy's HiGHS solver
 (``scipy.optimize.linprog(method="highs")``).  Problem sizes here stay in the
-hundreds of rows and columns.
+hundreds of rows and columns; every solve is bounded by MAX_ITERATIONS.
 """
 
 from __future__ import annotations
@@ -12,10 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalCycleError
+from .errors import IterationLimitError, NumericalCycleError
 
-#: linprog status codes: 0 solved, 2 infeasible; any other is a breakdown.
-SOLVED, INFEASIBLE = 0, 2
+#: linprog status codes: 0 solved, 1 iteration bound reached, 2 infeasible;
+#: any other is a breakdown.
+SOLVED, ITERATION_LIMIT, INFEASIBLE = 0, 1, 2
+
+#: Iteration bound of one solve.  Over lp_search on family members with up
+#: to ten stages (degree <= 6), no LP that reached a verdict took more than
+#: 35,443 iterations; one that did not took over a million.
+MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,12 @@ def phase1_feasible(A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResult
         b_eq=b_eq,
         bounds=(0, None),
         method="highs",
+        options={"maxiter": MAX_ITERATIONS},
     )
     if res.status == SOLVED:
         return SimplexResult(True, res.x, res.nit)
     if res.status == INFEASIBLE:
         return SimplexResult(False, None, res.nit)
+    if res.status == ITERATION_LIMIT:
+        raise IterationLimitError(f"HiGHS stopped after {res.nit} iterations: {res.message}")
     raise NumericalCycleError(f"HiGHS stopped with status {res.status}: {res.message}")

@@ -234,6 +234,19 @@ def method_order_residuals(tab: ButcherTableau, tol: float = EXACT_TOL) -> Resid
     return _build_report(entries, tol)
 
 
+def dense_order_conditions(tab: ButcherTableau) -> tuple:
+    """The dense order conditions through order three as (label, level,
+    stage factors f, target t): sum_j f_j w_j(theta) = t(theta), with t given
+    by its monomial coefficients, constant term first."""
+    c, A = tab.c, tab.A
+    return (
+        ("dense_sum", 1, np.ones(tab.s), [0.0, 1.0]),
+        ("dense_sum_c", 2, c, [0.0, 0.0, 0.5]),
+        ("dense_sum_c2", 3, c * c, [0.0, 0.0, 0.0, 1.0 / 3.0]),
+        ("dense_sum_Ac", 3, A @ c, [0.0, 0.0, 0.0, 1.0 / 6.0]),
+    )
+
+
 def dense_order_residuals(
     tab: ButcherTableau, weights: DenseWeights, tol: float = EXACT_TOL
 ) -> ResidualReport:
@@ -243,21 +256,11 @@ def dense_order_residuals(
     max-norm on [0,1] is the exact max of the residual polynomial.
     """
     check_stage_count(tab, weights)
-    c, A = tab.c, tab.A
-    W = weights.coeffs
     width = max(weights.degree + 1, 4)
-
-    def against(stage_factors, target):
-        combo = poly.pad(stage_factors @ W, width)
-        return combo - poly.pad(target, width)
-
-    ones = np.ones(tab.s)
-    entries = [
-        ("dense_sum", 1, against(ones, [0.0, 1.0])),
-        ("dense_sum_c", 2, against(c, [0.0, 0.0, 0.5])),
-        ("dense_sum_c2", 3, against(c * c, [0.0, 0.0, 0.0, 1.0 / 3.0])),
-        ("dense_sum_Ac", 3, against(A @ c, [0.0, 0.0, 0.0, 1.0 / 6.0])),
-    ]
+    entries = []
+    for label, level, factors, target in dense_order_conditions(tab):
+        residual = poly.pad(factors @ weights.coeffs, width) - poly.pad(target, width)
+        entries.append((label, level, residual))
     return _build_report(entries, tol)
 
 

@@ -114,6 +114,19 @@ def test_post_verification_names_the_probed_r():
     assert info.value.r == pytest.approx(1.0 + 2e-8, abs=1e-15)
 
 
+@pytest.mark.parametrize("sup", [0.0, 1.7, 2.0, certify.R_CAP])
+def test_bisection_probes_each_radius_once(sup):
+    radii = []
+
+    def probe(r):
+        radii.append(r)
+        return FeasibilityCheck(feasible=0.0 < r <= sup, violations=())
+
+    result = _sup_by_bisection(probe, 1e-10)
+    assert len(radii) == len(set(radii))
+    assert result.value == pytest.approx(sup, abs=1e-9)
+
+
 def test_permutation_invariance_of_coefficient():
     entry = registry.get("ssp332")
     perm = np.array([2, 0, 1])

@@ -311,6 +311,18 @@ def test_lp_search_probes_the_method_once(monkeypatch):
     assert calls == [2.0]
 
 
+@pytest.mark.parametrize("s", [3, 4])
+def test_quadratic_weights_meet_both_readers_of_the_order_conditions(s):
+    # build_lp's equality rows and dense_order_residuals read one table of
+    # dense order conditions; the quadratic recipe satisfies both
+    tab = family_tableau(s)
+    weights = second_order_weights(tab)
+    problem = build_lp(tab, order=2, degree=2, r=s - 1.0, n_collocation=6)
+    x = weights.coeffs[:, 1:].ravel()
+    assert np.allclose(problem.A_eq @ x, problem.b_eq, rtol=0.0, atol=1e-14)
+    assert dense_order_residuals(tab, weights).order == 2
+
+
 def test_lp_equalities_shape_order2():
     # order 2 with degree D contributes D + D rows before pins (none are
     # structurally zero here), and the pins add s more

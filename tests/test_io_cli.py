@@ -306,6 +306,51 @@ def test_search_solver_breakdown_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: HiGHS stopped with status 4")
 
 
+SEARCH_S10 = ["search", "--stages", "10", "--order", "2", "--degree", "6", "--r", "8.75"]
+
+
+def test_search_iteration_bound_is_inconclusive(monkeypatch, capsys):
+    # HiGHS status 1 (iteration bound) decides nothing: exit 0, inconclusive
+    import scipy.optimize
+
+    def iteration_limit(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=1, message="stub", nit=7)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", iteration_limit)
+    argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"]
+    assert main(argv + ["--format", "record"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "inconclusive", "certified": False, "weights": None,
+        "violated_necessary": None, "collocation": 3 + 32 + 1,
+    }
+
+
+def test_search_solves_are_bounded(monkeypatch, capsys):
+    # this search spends about a minute in one unbounded solve; with a low
+    # bound it must end inconclusive after few iterations
+    import scipy.optimize
+
+    from sspdo import simplex
+
+    iterations = []
+    linprog = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        assert kwargs["options"] == {"maxiter": 2_000}
+        result = linprog(*args, **kwargs)
+        iterations.append(result.nit)
+        return result
+
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 2_000)
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    assert main(SEARCH_S10 + ["--format", "record"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "inconclusive", "certified": False, "weights": None,
+        "violated_necessary": None, "collocation": 6 + 32 + 1,
+    }
+    assert max(iterations) <= 2_000
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.3 s and 19 MB to import; only an LP solve
     # may load it, never the CLI start
@@ -392,3 +437,20 @@ def test_sweep_record(capsys):
     assert rows[3]["xineq_holds"] is True
     assert rows[5]["xineq_holds"] is False
     assert rows[5]["c_dense"] < 4.0
+
+
+def test_convergence_record(capsys):
+    assert main(["experiment", "convergence", "--format", "record"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["label"] for row in rows] == [
+        "ssp322+quadratic", "euler+linear", "ssp332-steps",
+    ]
+    keys = ["label", "step_slope", "dense_slope", "hs", "step_errors", "dense_errors"]
+    assert all(list(row) == keys for row in rows)
+    assert rows[2]["dense_slope"] is None and rows[2]["dense_errors"] is None
+    # forward Euler's observed slopes at these step sizes are 1.15 and 1.12
+    expected = [(2.0, 2.0, 0.1), (1.0, 1.0, 0.2), (3.0, None, 0.1)]
+    for row, (step, dense, tol) in zip(rows, expected):
+        assert abs(row["step_slope"] - step) < tol
+        if dense is not None:
+            assert abs(row["dense_slope"] - dense) < tol
