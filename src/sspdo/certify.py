@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgetrf, dgetri, dtrtri
 
 from . import poly
 from .errors import (
@@ -52,30 +50,29 @@ MAX_NODES = 200_000
 
 
 def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
-    """Inverse of I + r*A via partial-pivot factorization.
+    """Inverse of I + r*A from LAPACK's inversion routines.
 
-    Explicit tableaux make I + r*A unit lower triangular, so forward
-    substitution is used and singularity cannot occur.  Otherwise a pivot of
-    magnitude below 1e-12 raises SingularMatrixError.
+    Explicit tableaux make I + r*A unit lower triangular, so it is inverted
+    as such (dtrtri) and singularity cannot occur.  Otherwise it is
+    LU-factorized with partial pivoting (dgetrf) and inverted (dgetri); an
+    exactly singular or non-finite matrix, or a pivot of magnitude below
+    1e-12, raises SingularMatrixError.  These routines stay on one thread at
+    these sizes, whereas a solve against the identity (dtrtrs, lu_solve)
+    hands its s right-hand sides to OpenBLAS's threaded trsm, whose worker
+    thread then spins between probes.
     """
-    s = tab.s
-    iden = np.eye(s)
-    B = iden + r * tab.A
+    B = np.eye(tab.s) + r * tab.A
     if tab.explicit:
-        # LAPACK's solve as scipy's solve_triangular calls it, minus that
-        # wrapper's overhead, which at these sizes is several times the solve.
-        return dtrtrs(B.T, iden, lower=0, trans=1, unitdiag=1)[0]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # pivot check below decides
-            lu, piv = lu_factor(B)
-    except Exception as exc:  # LAPACK signals exact singularity
-        raise SingularMatrixError(f"I + {r}*A is singular") from exc
+        return dtrtri(B, lower=1, unitdiag=1)[0]
+    lu, piv, info = dgetrf(B)
+    # an overflowed entry can leave finite pivots and a finite, wrong inverse
+    if info > 0 or not np.isfinite(B).all():
+        raise SingularMatrixError(f"I + {r}*A is singular")
     if np.min(np.abs(np.diag(lu))) < PIVOT_TOL:
         raise SingularMatrixError(
             f"pivot below {PIVOT_TOL} while factorizing I + {r}*A"
         )
-    return lu_solve((lu, piv), iden)
+    return dgetri(lu, piv)[0]
 
 
 @dataclass(frozen=True)

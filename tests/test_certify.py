@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,7 @@ from sspdo.errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     PostVerificationError,
+    SingularMatrixError,
 )
 from sspdo.tableau import ButcherTableau, DenseWeights, endpoint_check, validate_tableau
 
@@ -468,8 +473,90 @@ def test_gamma_bound_all_registry():
         assert 0.0 <= r * gamma_at(tab, r) <= 1.0 + 1e-9
 
 
+# --------------------------------------------------------------- resolvent
+
 def test_family_resolvent_is_bidiagonal():
     for s in range(2, 8):
         M = resolvent(family_tableau(s), float(s - 1))
         expected = np.eye(s) - np.diag(np.ones(s - 1), -1)
         assert np.max(np.abs(M - expected)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        [[0.25, 0.0], [0.5, 0.25]],
+        [[0.0, 0.5], [0.25, 0.0]],
+        [[0.2, 0.1, 0.0], [0.3, 0.2, 0.4], [0.1, 0.5, 0.3]],
+    ],
+    ids=["diagonally-implicit", "2x2-full", "3x3-full"],
+)
+@pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+def test_implicit_resolvent_is_the_inverse(A, r):
+    A = np.array(A)
+    tab = ButcherTableau(A=A, b=np.full(len(A), 1.0 / len(A)))
+    assert not tab.explicit
+    expected = np.linalg.inv(np.eye(len(A)) + r * A)
+    assert np.max(np.abs(resolvent(tab, r) - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "A, r",
+    [([[0.0, 1.0], [1.0, 0.0]], 1.0), ([[1e308, 0.0], [0.0, 1e308]], 10.0)],
+    ids=["zero-pivot", "overflow"],
+)
+def test_exactly_singular_resolvent_raises(A, r):
+    # I + A = [[1, 1], [1, 1]] has a zero pivot after one elimination step;
+    # I + 10*A overflows to infinity on its diagonal
+    tab = ButcherTableau(A=np.array(A), b=np.array([0.5, 0.5]))
+    with np.errstate(over="ignore"), pytest.raises(SingularMatrixError) as info:
+        resolvent(tab, r)
+    assert str(info.value) == f"I + {r}*A is singular"
+
+
+def test_near_singular_resolvent_raises_on_pivot():
+    # I + A = [[1, 1], [1, 1 + 1e-14]]: the second pivot is about 1e-14
+    A = np.array([[0.0, 1.0], [1.0, 1e-14]])
+    tab = ButcherTableau(A=A, b=np.array([0.5, 0.5]))
+    with pytest.raises(SingularMatrixError) as info:
+        resolvent(tab, 1.0)
+    assert str(info.value) == "pivot below 1e-12 while factorizing I + 1.0*A"
+
+
+_THREAD_CPU_PROBE = """
+import resource
+from sspdo.certify import compute_certificate
+from sspdo.construct import family_tableau, second_order_weights
+
+def cpu(who):
+    usage = resource.getrusage(who)
+    return usage.ru_utime + usage.ru_stime
+
+tabs = [(family_tableau(s), second_order_weights(family_tableau(s))) for s in range(5, 13)]
+compute_certificate(*tabs[0])  # warm-up: lazy imports and caches
+self0, main0 = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_THREAD)
+for tab, weights in tabs:
+    compute_certificate(tab, weights)
+main = cpu(resource.RUSAGE_THREAD) - main0
+print(main, cpu(resource.RUSAGE_SELF) - self0 - main)
+"""
+
+
+def test_certificate_runs_on_one_thread():
+    # OpenBLAS hands a solve with s right-hand sides to its threaded trsm,
+    # whose worker then spins between probes; the resolvent must not.  A
+    # single-threaded process meets this bound however slow the host is.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RUSAGE_THREAD") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs per-thread CPU accounting and at least 2 CPUs")
+    env = {
+        key: value for key, value in os.environ.items()
+        if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(certify.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _THREAD_CPU_PROBE], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    main, others = map(float, out.stdout.split())
+    assert others <= 0.25 * main, (main, others)
