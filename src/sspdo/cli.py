@@ -18,7 +18,7 @@ import sys
 from . import poly, registry
 from .certify import DEFAULT_BISECT_TOL, compute_certificate
 from .construct import first_order_weights, lp_search, second_order_weights
-from .errors import SspdoError
+from .errors import InvalidArgumentError, SspdoError
 from .experiments import (
     run_certification_sweep,
     run_convergence_tables,
@@ -95,7 +95,7 @@ def _cmd_search(args) -> int:
         tab = family_tableau(args.stages)
     else:
         tab, _ = _load_method(args)
-    result = lp_search(tab, args.order, args.degree, args.r, args.collocation)
+    result = lp_search(tab, args.order, args.degree, args.r)
     if args.format == "record":
         _emit(result.as_record())
     else:
@@ -132,17 +132,21 @@ def _cmd_shu_osher(args) -> int:
 
 def _cmd_integrate(args) -> int:
     tab, weights = _load_method(args)
+    if args.dense < 0:
+        raise InvalidArgumentError("--dense must be nonnegative")
+    if args.dense and weights is None:
+        print("integrate: --dense requires dense weights (bbar)", file=sys.stderr)
+        return 2
     problem = get_problem(args.problem)
     traj = integrate_fixed(tab, problem, [args.u0], 0.0, args.h, args.steps)
     print("t,theta_global,u,is_step_point")
     for n in range(args.steps):
         t = n * args.h
         print(f"{t!r},{float(n)!r},{float(traj.states[n][0])!r},1")
-        if args.dense and weights is not None:
-            for i in range(1, args.dense):
-                theta = i / args.dense
-                u = float(dense_eval(traj, weights, n, theta)[0])
-                print(f"{(n + theta) * args.h!r},{n + theta!r},{u!r},0")
+        for i in range(1, args.dense):
+            theta = i / args.dense
+            u = float(dense_eval(traj, weights, n, theta)[0])
+            print(f"{(n + theta) * args.h!r},{n + theta!r},{u!r},0")
     t_end = args.steps * args.h
     print(f"{t_end!r},{float(args.steps)!r},{float(traj.states[-1][0])!r},1")
     return 0
@@ -236,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--r", type=as_float, required=True)
-    p.add_argument("--collocation", type=int, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_search)
 

@@ -3,11 +3,11 @@
 Two closed-form recipes cover most practical needs: scaling the step weights
 linearly in theta always keeps the full SSP coefficient at first order, and a
 quadratic recipe gives second order whenever the first row of A is zero.  For
-anything else, lp_search solves feasibility LPs over the free polynomial
-coefficients with scipy's HiGHS solver.  A collocation relaxation (conditions
-at finitely many theta) can prove that no weights exist; a Bernstein
-restriction (nonnegative Bernstein coefficients after degree elevation) yields
-weights that satisfy the conditions for every theta.  Every candidate is
+anything else, lp_search solves two feasibility LPs over the free polynomial
+coefficients with scipy's HiGHS solver.  A Bernstein restriction (nonnegative
+Bernstein coefficients after degree elevation) yields weights that satisfy
+the conditions for every theta; a collocation relaxation (conditions at
+finitely many theta) can prove that no weights exist.  Every candidate is
 certified in the Bernstein basis before it is reported, so the verdict is
 "feasible" with certified weights, "infeasible", or "inconclusive".
 """
@@ -377,9 +377,9 @@ def _equalities(tab, order, D, r) -> tuple[np.ndarray, np.ndarray]:
 
 # theta = 0 and the first Bernstein coefficient (the value at 0) would only
 # give 0 <= 0 rows, so both bases skip them.
-def _collocation_basis(n: int, D: int) -> np.ndarray:
-    """Powers 1..D at n Chebyshev points."""
-    return np.power(chebyshev_lobatto(n)[1:, None], np.arange(1, D + 1))
+def _collocation_basis(D: int) -> np.ndarray:
+    """Powers 1..D at D + ELEVATION + 1 Chebyshev points."""
+    return np.power(chebyshev_lobatto(D + ELEVATION + 1)[1:, None], np.arange(1, D + 1))
 
 
 def _bernstein_basis(D: int) -> np.ndarray:
@@ -392,7 +392,6 @@ def build_lp(
     order: int,
     degree: int,
     r: float,
-    n_collocation: int,
 ) -> LpProblem:
     """Assemble the collocation relaxation LP.
 
@@ -403,9 +402,9 @@ def build_lp(
     (first-stage linear coefficient 1, all others 0) are added; they are
     necessary for any order-2 dense output with positive SSP coefficient.
     Inequalities impose the transformed-weight nonnegativity and the step
-    budget at n_collocation Chebyshev points, so an infeasible relaxation
-    proves that no weights exist.  Replacing ``basis`` gives another LP with
-    the same equalities.
+    budget at degree + ELEVATION + 1 Chebyshev points, so an infeasible
+    relaxation proves that no weights exist.  Replacing ``basis`` gives
+    another LP with the same equalities.
     """
     A_eq, b_eq = _equalities(tab, order, degree, r)
     M = resolvent(tab, r)
@@ -416,12 +415,13 @@ def build_lp(
         A_eq=A_eq,
         b_eq=b_eq,
         conditions=conditions,
-        basis=_collocation_basis(n_collocation, degree),
+        basis=_collocation_basis(degree),
     )
 
 
-def _solve_lp(problem: LpProblem) -> np.ndarray | None:
-    """Solve the LP in split-variable form; return free-variable values or None."""
+def _solve_lp(problem: LpProblem) -> DenseWeights | None:
+    """Solve the LP in split-variable form; return its weights, or None if
+    it is infeasible."""
     n = problem.n_variables
 
     def split(mat):
@@ -440,12 +440,8 @@ def _solve_lp(problem: LpProblem) -> np.ndarray | None:
     )
     if not result.feasible:
         return None
-    return result.x[0::2] - result.x[1::2]
-
-
-def _weights_from_solution(problem: LpProblem, x: np.ndarray) -> DenseWeights:
     coeffs = np.zeros((problem.s, problem.degree + 1))
-    coeffs[:, 1:] = x.reshape(problem.s, problem.degree)
+    coeffs[:, 1:] = (result.x[0::2] - result.x[1::2]).reshape(problem.s, problem.degree)
     return DenseWeights(coeffs)
 
 
@@ -466,21 +462,19 @@ def lp_search(
     order: int,
     degree: int,
     r: float,
-    n_collocation: int | None = None,
 ) -> SearchResult:
     """Search for dense weights of the requested order and degree feasible at r.
 
     Closed-form necessary conditions are screened first so an infeasible
-    verdict carries an interpretable cause.  Then at most three LPs run, each
-    once:
+    verdict carries an interpretable cause.  Then at most two LPs run, each
+    once, with the same equalities:
 
-    1. the collocation relaxation at n_collocation points (default 2D+2):
-       infeasible means "infeasible"; a vertex that certifies is "feasible";
-    2. the Bernstein restriction: every transformed weight and the budget must
+    1. the Bernstein restriction: every transformed weight and the budget must
        have nonnegative Bernstein coefficients at degree D + ELEVATION, which
        implies the continuous conditions; a point that certifies is "feasible";
-    3. the relaxation at D + ELEVATION + 1 points, which can still prove
-       "infeasible"; otherwise the verdict is "inconclusive".
+    2. the relaxation at D + ELEVATION + 1 collocation points: infeasible
+       means "infeasible", a point that certifies is "feasible", and any
+       other point leaves the verdict "inconclusive".
 
     An LP that reaches the solver's iteration bound ends the search
     "inconclusive".  Every "feasible" carries weights certified continuously
@@ -492,11 +486,7 @@ def lp_search(
         raise InvalidArgumentError("degree must be at least 1")
     if r <= 0:
         raise InvalidArgumentError("r must be positive")
-    minimum = 2 * degree + 2
-    if n_collocation is None:
-        n_collocation = minimum
-    elif n_collocation < minimum:
-        raise InvalidArgumentError(f"need at least {minimum} collocation points")
+    n_collocation = degree + ELEVATION + 1
     method_check = monotonicity_feasible_method(tab, r)
     if not method_check.feasible:
         warnings.warn(
@@ -505,22 +495,17 @@ def lp_search(
     violation = _prescreen(tab, order, degree, r, method_check)
     if violation is not None:
         return SearchResult("infeasible", None, violation, n_collocation)
-    relaxation = build_lp(tab, order, degree, r, n_collocation)
-    fine = degree + ELEVATION + 1
+    relaxation = build_lp(tab, order, degree, r)
     try:
-        x = _solve_lp(relaxation)
-        if x is None:
-            return SearchResult("infeasible", None, collocation=n_collocation)
-        weights = _weights_from_solution(relaxation, x)
-        if _certify_candidate(tab, weights, order, r):
+        weights = _solve_lp(replace(relaxation, basis=_bernstein_basis(degree)))
+        if weights is not None and _certify_candidate(tab, weights, order, r):
             return SearchResult("feasible", weights, collocation=n_collocation)
-        x = _solve_lp(replace(relaxation, basis=_bernstein_basis(degree)))
-        if x is not None:
-            weights = _weights_from_solution(relaxation, x)
-            if _certify_candidate(tab, weights, order, r):
-                return SearchResult("feasible", weights, collocation=n_collocation)
-        x = _solve_lp(replace(relaxation, basis=_collocation_basis(fine, degree)))
+        weights = _solve_lp(relaxation)
     except IterationLimitError:
         # An LP stopped at the iteration bound decides nothing.
-        return SearchResult("inconclusive", None, collocation=fine)
-    return SearchResult("infeasible" if x is None else "inconclusive", None, collocation=fine)
+        return SearchResult("inconclusive", None, collocation=n_collocation)
+    if weights is None:
+        return SearchResult("infeasible", None, collocation=n_collocation)
+    if _certify_candidate(tab, weights, order, r):
+        return SearchResult("feasible", weights, collocation=n_collocation)
+    return SearchResult("inconclusive", None, collocation=n_collocation)

@@ -58,8 +58,8 @@ class ParseError(SspdoError, ValueError):
 
 
 class InvalidArgumentError(SspdoError, ValueError):
-    """A numeric argument (stage count, order, degree, r, grid size) is out of
-    range, or a coefficient is not finite."""
+    """A numeric argument (stage count, order, degree, r, dense points per
+    step) is out of range, or a coefficient is not finite."""
 
 
 class NumericalCycleError(SspdoError, RuntimeError):

@@ -13,7 +13,6 @@ from sspdo.certify import (
 )
 from sspdo.construct import (
     ELEVATION,
-    _solve_lp,
     barrier_first_derivative,
     build_lp,
     chebyshev_lobatto,
@@ -198,11 +197,6 @@ def test_collocation_grid_includes_endpoints():
     assert np.all(np.diff(grid) > 0)
 
 
-def test_lp_search_rejects_small_grid():
-    with pytest.raises(ValueError):
-        lp_search(family_tableau(3), order=2, degree=2, r=2.0, n_collocation=4)
-
-
 @pytest.mark.parametrize("s", [3, 4])
 def test_lp_search_uniqueness(s):
     result = lp_search(family_tableau(s), order=2, degree=2, r=float(s - 1))
@@ -244,20 +238,29 @@ def test_lp_search_restriction_certifies():
 
 
 def test_lp_search_fine_relaxation_proves_infeasible():
-    # the default 10-point relaxation is feasible; only the relaxation at
+    # a 10-point relaxation of this search is feasible; the relaxation at
     # degree + ELEVATION + 1 points proves that no weights exist
     tab = family_tableau(8)
-    assert _solve_lp(build_lp(tab, order=2, degree=4, r=7.0, n_collocation=10)) is not None
     result = lp_search(tab, order=2, degree=4, r=7.0)
     assert result.status == "infeasible" and result.weights is None
     assert result.collocation == 4 + ELEVATION + 1
+
+
+@pytest.mark.parametrize(
+    "s, order, r", [(9, 3, 7.75), (10, 2, 8.5)], ids=["family-s9", "family-s10"]
+)
+def test_lp_search_decides_where_the_coarse_relaxation_broke_down(s, order, r):
+    # a relaxation at 2D+2 points stopped HiGHS with status 4 on these
+    # searches; the relaxation at D + ELEVATION + 1 points is infeasible
+    result = lp_search(family_tableau(s), order=order, degree=3, r=r)
+    assert result.status == "infeasible" and result.weights is None
 
 
 def test_lp_restriction_rows_are_bernstein_coefficients():
     # the slack of each restriction row is one elevated Bernstein coefficient
     # of a transformed weight or of the step budget
     tab, r, n = family_tableau(3), 2.0, 2 + ELEVATION
-    problem = build_lp(tab, order=2, degree=2, r=r, n_collocation=6)
+    problem = build_lp(tab, order=2, degree=2, r=r)
     restriction = replace(problem, basis=bernstein_matrix(n)[1:, 1:3])
     weights = second_order_weights(tab)
     slack = restriction.b_ub - restriction.A_ub @ weights.coeffs[:, 1:].ravel()
@@ -317,7 +320,7 @@ def test_quadratic_weights_meet_both_readers_of_the_order_conditions(s):
     # dense order conditions; the quadratic recipe satisfies both
     tab = family_tableau(s)
     weights = second_order_weights(tab)
-    problem = build_lp(tab, order=2, degree=2, r=s - 1.0, n_collocation=6)
+    problem = build_lp(tab, order=2, degree=2, r=s - 1.0)
     x = weights.coeffs[:, 1:].ravel()
     assert np.allclose(problem.A_eq @ x, problem.b_eq, rtol=0.0, atol=1e-14)
     assert dense_order_residuals(tab, weights).order == 2
@@ -327,6 +330,6 @@ def test_lp_equalities_shape_order2():
     # order 2 with degree D contributes D + D rows before pins (none are
     # structurally zero here), and the pins add s more
     tab = family_tableau(3)
-    problem = build_lp(tab, order=2, degree=2, r=2.0, n_collocation=6)
+    problem = build_lp(tab, order=2, degree=2, r=2.0)
     assert problem.A_eq.shape[0] == 2 + 2 + 3
     assert problem.n_variables == 6

@@ -163,6 +163,17 @@ def test_integrate_csv(capsys):
     assert {r[3] for r in rows} == {"0", "1"}
 
 
+def test_integrate_dense_without_weights_exit_code(capsys):
+    # family-s5 has no built-in dense weights; certify --dense and shu-osher
+    # exit 2 for the same input
+    argv = ["integrate", "--method", "family-s5", "--u0", "0.3", "--h", "0.5",
+            "--steps", "3", "--dense", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dense requires dense weights" in captured.err
+
+
 def test_unknown_method_exit_code(capsys):
     assert main(["certify", "--method", "nope"]) == 2
 
@@ -183,10 +194,8 @@ def test_missing_file_exit_code(capsys):
         ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "0"],
         ["search", "--stages", "5", "--order", "2", "--degree", "0", "--r", "4"],
         ["search", "--stages", "1", "--order", "2", "--degree", "3", "--r", "4"],
-        ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4",
-         "--collocation", "3"],
     ],
-    ids=["r-zero", "degree-zero", "one-stage", "small-grid"],
+    ids=["r-zero", "degree-zero", "one-stage"],
 )
 def test_search_bad_argument_exit_code(argv, capsys):
     assert main(argv) == 2
@@ -201,8 +210,10 @@ def test_search_bad_argument_exit_code(argv, capsys):
         ["experiment", "sweep", "--smax", "1"],
         ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5", "--steps", "-2"],
         ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "-1", "--steps", "3"],
+        ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5", "--steps", "3",
+         "--dense", "-3"],
     ],
-    ids=["sweep-smax-one", "negative-steps", "negative-step-size"],
+    ids=["sweep-smax-one", "negative-steps", "negative-step-size", "negative-dense"],
 )
 def test_bad_argument_exit_code(argv, capsys):
     assert main(argv) == 2
@@ -304,6 +315,13 @@ def test_search_solver_breakdown_exit_code(monkeypatch, capsys):
     argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: HiGHS stopped with status 4")
+
+
+def test_search_where_the_coarse_relaxation_broke_down_is_infeasible(capsys):
+    # a relaxation at 2D+2 points stopped HiGHS with status 4 here (exit 2)
+    argv = ["search", "--stages", "9", "--order", "2", "--degree", "3", "--r", "7.9"]
+    assert main(argv + ["--format", "record"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
 
 
 SEARCH_S10 = ["search", "--stages", "10", "--order", "2", "--degree", "6", "--r", "8.75"]
