@@ -47,6 +47,7 @@ R_CAP = 1e6
 WITNESS_TOL = 1e-15
 MAX_DEPTH = 40
 MAX_NODES = 200_000
+MAX_DEGREE = 64         # highest polynomial degree the certifier converts
 
 
 def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
@@ -135,11 +136,11 @@ def bernstein_matrix(n: int) -> np.ndarray:
 
 def monomial_to_bernstein(coeffs: np.ndarray) -> np.ndarray:
     """Bernstein coefficients on [0,1] of a polynomial given in the monomial
-    basis, or of each row of a matrix of such polynomials; degree <= 64."""
+    basis, or of each row of a matrix of such polynomials; degree <= MAX_DEGREE."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     degree = c.shape[-1] - 1
-    if degree > 64:
-        raise DegreeTooHighError(f"degree {degree} exceeds 64")
+    if degree > MAX_DEGREE:
+        raise DegreeTooHighError(f"degree {degree} exceeds {MAX_DEGREE}")
     return c @ bernstein_matrix(degree).T
 
 
@@ -197,14 +198,20 @@ def poly_nonneg_on_unit(coeffs) -> PolyNonnegReport:
     return PolyNonnegReport(CertStatus.NONNEG, None, None, deepest)
 
 
+def condition_map(M: np.ndarray, r: float) -> np.ndarray:
+    """The (s+1) x s linear part [M'; -r (Me)'] of the condition rows at r,
+    with M the resolvent at r: applied to stage weights w, the transformed
+    weights M'w and the budget term -r e'M'w."""
+    return np.vstack([M.T, -r * (M @ np.ones(len(M)))])
+
+
 def _condition_rows(M: np.ndarray, W: np.ndarray, r: float) -> np.ndarray:
     """The (s+1) x (d+1) condition polynomials at r of the weights W (s x
     (d+1), monomial coefficients): the rows of M'W, which must be >= 0, and
     the budget 1 - r * sum_j (M'W)_j, which must be >= 0 too."""
-    rows = M.T @ W
-    budget = -r * rows.sum(axis=0)
-    budget[0] += 1.0
-    return np.vstack([rows, budget])
+    rows = condition_map(M, r) @ W
+    rows[-1, 0] += 1.0
+    return rows
 
 
 def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> FeasibilityCheck:
@@ -410,7 +417,6 @@ class SspCertificate:
     witnesses: tuple[Violation, ...]
     method_unbounded: bool = False
     conservative: bool = False
-    tol: float = DEFAULT_BISECT_TOL
 
     def as_record(self) -> dict:
         return {
@@ -474,5 +480,4 @@ def compute_certificate(
         witnesses=witnesses,
         method_unbounded=method.unbounded,
         conservative=conservative,
-        tol=tol,
     )

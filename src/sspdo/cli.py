@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: certify, construct, search, shu-osher, integrate, and the
-experiment drivers (figure1, sweep, convergence).  Human-readable output is
-the default; --format record switches to a single JSON object on stdout.
+experiment drivers (figure1, sweep, convergence).  Each command that reports
+results emits one JSON record line, after its human-readable lines unless
+--format record is given (sweep and convergence print a table or the record).
 Exit codes: 0 success, 1 assertion failure (e.g. containment violated),
 2 usage or parse errors.  The environment variable SSPDO_TOL overrides the
 default certification tolerance.
@@ -17,7 +18,12 @@ import sys
 
 from . import poly, registry
 from .certify import DEFAULT_BISECT_TOL, compute_certificate
-from .construct import first_order_weights, lp_search, second_order_weights
+from .construct import (
+    family_tableau,
+    first_order_weights,
+    lp_search,
+    second_order_weights,
+)
 from .errors import InvalidArgumentError, SspdoError
 from .experiments import (
     run_certification_sweep,
@@ -35,28 +41,23 @@ def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
-def _load_method(args):
-    """Resolve --tableau FILE or --method KEY to (tableau, weights or None)."""
-    if getattr(args, "tableau", None):
-        return load_tableau_file(args.tableau)
-    if getattr(args, "method", None):
+def _load_method(args, weights_for: str | None = None):
+    """Resolve --tableau FILE or --method KEY to (tableau, weights or None);
+    weights_for names what needs the dense weights, if anything does."""
+    if args.tableau:
+        tab, weights = load_tableau_file(args.tableau)
+    else:
         entry = registry.get(args.method)
-        return entry.tableau, entry.dense_weights
-    print("error: one of --tableau or --method is required", file=sys.stderr)
-    raise SystemExit(2)
+        tab, weights = entry.tableau, entry.dense_weights
+    if weights_for and weights is None:
+        raise InvalidArgumentError(f"{weights_for} requires dense weights (bbar)")
+    return tab, weights
 
 
 def _cmd_certify(args) -> int:
-    tab, weights = _load_method(args)
-    if not args.dense:
-        weights = None
-    elif weights is None:
-        print("certify: --dense requires a file with a 'bbar' block", file=sys.stderr)
-        return 2
-    cert = compute_certificate(tab, weights, tol=args.tol)
-    if args.format == "record":
-        _emit(cert.as_record())
-    else:
+    tab, weights = _load_method(args, "--dense" if args.dense else None)
+    cert = compute_certificate(tab, weights if args.dense else None, tol=args.tol)
+    if args.format == "human":
         name = tab.name or "tableau"
         print(f"certification of {name} (s={tab.s}, tol={args.tol:g})")
         print(f"  {'r_method':<12} {cert.r_method:.12g}")
@@ -76,29 +77,21 @@ def _cmd_certify(args) -> int:
                 where = f" at {v.index}" if v.index else ""
                 theta = f", theta={v.theta:.6g}" if v.theta is not None else ""
                 print(f"    {v.condition}{where}: {v.value:.6g}{theta}")
-        _emit(cert.as_record())
+    _emit(cert.as_record())
     return 0
 
 
 def _cmd_construct(args) -> int:
     tab, _ = _load_method(args)
     weights = first_order_weights(tab) if args.order == 1 else second_order_weights(tab)
-    block = {"bbar": [[float(x) for x in row] for row in weights.coeffs]}
-    _emit(block)
+    _emit({"bbar": [[float(x) for x in row] for row in weights.coeffs]})
     return 0
 
 
 def _cmd_search(args) -> int:
-    if args.stages is not None:
-        from .construct import family_tableau
-
-        tab = family_tableau(args.stages)
-    else:
-        tab, _ = _load_method(args)
+    tab = family_tableau(args.stages) if args.stages is not None else _load_method(args)[0]
     result = lp_search(tab, args.order, args.degree, args.r)
-    if args.format == "record":
-        _emit(result.as_record())
-    else:
+    if args.format == "human":
         print(f"search on {tab.name or 'tableau'}: {result.status}")
         if result.violated_necessary is not None:
             v = result.violated_necessary
@@ -109,34 +102,26 @@ def _cmd_search(args) -> int:
             for j in range(result.weights.s):
                 print(f"  w_{j + 1}(t) = {poly.to_string(result.weights.row(j))}")
             print(f"  certified: {result.certified}")
-        _emit(result.as_record())
+    _emit(result.as_record())
     return 0
 
 
 def _cmd_shu_osher(args) -> int:
-    tab, weights = _load_method(args)
-    if weights is None:
-        print("shu-osher: the input needs dense weights (bbar)", file=sys.stderr)
-        return 2
+    tab, weights = _load_method(args, "shu-osher")
     form = to_shu_osher(tab, weights, args.C)
-    if args.format == "record":
-        _emit(form.as_record())
-    else:
+    if args.format == "human":
         print(f"Shu-Osher dense form at C={args.C:g}:")
         print(f"  mu(t)     = {poly.to_string(form.mu)}")
         for j in range(form.s):
             print(f"  beta_{j + 1}(t) = {poly.to_string(form.beta_bar[j])}")
-        _emit(form.as_record())
+    _emit(form.as_record())
     return 0
 
 
 def _cmd_integrate(args) -> int:
-    tab, weights = _load_method(args)
+    tab, weights = _load_method(args, "--dense" if args.dense > 0 else None)
     if args.dense < 0:
         raise InvalidArgumentError("--dense must be nonnegative")
-    if args.dense and weights is None:
-        print("integrate: --dense requires dense weights (bbar)", file=sys.stderr)
-        return 2
     problem = get_problem(args.problem)
     traj = integrate_fixed(tab, problem, [args.u0], 0.0, args.h, args.steps)
     print("t,theta_global,u,is_step_point")
@@ -153,11 +138,15 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    """figure1 prints its summary and then its record; sweep and convergence
+    print a table or, under --format record, the record alone."""
+    human = args.format == "human"
+    code = 0
     if args.experiment == "figure1":
         summary = run_figure1(h=args.h, out_dir=args.out)
-        if args.format == "record":
-            _emit(summary.as_record())
-        else:
+        record = summary.as_record()
+        code = 0 if summary.ssp_contained else 1
+        if human:
             print(
                 f"figure1 at h={summary.h:g} over {summary.n_steps} steps:\n"
                 f"  ssp formula range    [{summary.ssp_min:.6e}, {summary.ssp_max:.6f}]"
@@ -166,27 +155,20 @@ def _cmd_experiment(args) -> int:
                 f" (most negative at u0={summary.nonssp_argmin[0]:.4f},"
                 f" t={summary.nonssp_argmin[1]:.4f})"
             )
-            _emit(summary.as_record())
-        return 0 if summary.ssp_contained else 1
-    if args.experiment == "sweep":
+    elif args.experiment == "sweep":
         rows = run_certification_sweep(args.smax)
-        if args.format == "record":
-            _emit({"rows": [row.as_record() for row in rows]})
-        else:
+        record = {"rows": [row.as_record() for row in rows]}
+        if human:
             print(f"{'s':>3} {'C(A,b)':>12} {'gamma':>12} {'xineq':>7} {'C dense':>12}")
             for row in rows:
                 print(
                     f"{row.s:>3} {row.c_method:>12.8f} {row.gamma:>12.8f} "
                     f"{'holds' if row.xineq_holds else 'fails':>7} {row.c_dense:>12.8f}"
                 )
-        return 0
-    if args.experiment == "convergence":
+    else:
         studies = run_convergence_tables()
-        if args.format == "record":
-            _emit(
-                {"rows": [{"label": label, **study.as_record()} for label, study in studies]}
-            )
-        else:
+        record = {"rows": [{"label": label, **study.as_record()} for label, study in studies]}
+        if human:
             for label, study in studies:
                 dense = (
                     f", dense slope {study.dense_slope:.3f}"
@@ -194,8 +176,9 @@ def _cmd_experiment(args) -> int:
                     else ""
                 )
                 print(f"{label}: step slope {study.step_slope:.3f}{dense}")
-        return 0
-    raise SystemExit(f"unknown experiment {args.experiment!r}")
+    if not human or args.experiment == "figure1":
+        _emit(record)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,11 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_method_args(p):
-        p.add_argument("--tableau", help="tableau JSON file")
-        p.add_argument(
+        """--tableau FILE or --method KEY: exactly one is required."""
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--tableau", help="tableau JSON file")
+        group.add_argument(
             "--method",
             help=f"built-in method key ({', '.join(registry.keys())} or family-s<k>)",
         )
+        return group
 
     def add_format(p):
         p.add_argument(
@@ -235,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("search", help="LP feasibility search for dense weights")
-    add_method_args(p)
-    p.add_argument("--stages", type=int, help="use the s-stage family member")
+    add_method_args(p).add_argument(
+        "--stages", type=int, help="use the s-stage family member"
+    )
     p.add_argument("--order", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--r", type=as_float, required=True)

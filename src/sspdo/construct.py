@@ -21,14 +21,17 @@ import numpy as np
 
 from . import poly
 from .certify import (
+    MAX_DEGREE,
     CertStatus,
     bernstein_matrix,
+    condition_map,
     monotonicity_feasible_dense,
     monotonicity_feasible_method,
     poly_nonneg_on_unit,
     resolvent,
 )
 from .errors import (
+    DegreeTooHighError,
     DimensionMismatchError,
     InvalidArgumentError,
     IterationLimitError,
@@ -247,9 +250,10 @@ class LpProblem:
 
     ``conditions`` holds the s transformed weights (rows of -M^T, with M the
     resolvent at r) and the step budget (r (M e)^T) as linear forms in the
-    stage weights.  Each row of ``basis`` maps powers 1..degree of a weight to
-    one number: its value at a collocation point (relaxation) or one of its
-    Bernstein coefficients (restriction).  The inequality block applies every
+    stage weights: the negated ``certify.condition_map``, so that every row
+    reads <= its right-hand side.  Each row of ``basis`` maps powers 1..degree
+    of a weight to one number: its value at a collocation point (relaxation)
+    or one of its Bernstein coefficients (restriction).  The inequality block applies every
     condition to every basis row: transformed weights >= 0, budget <= 1.
     """
 
@@ -407,14 +411,12 @@ def build_lp(
     another LP with the same equalities.
     """
     A_eq, b_eq = _equalities(tab, order, degree, r)
-    M = resolvent(tab, r)
-    conditions = np.vstack([-M.T, r * (M @ np.ones(tab.s))])
     return LpProblem(
         s=tab.s,
         degree=degree,
         A_eq=A_eq,
         b_eq=b_eq,
-        conditions=conditions,
+        conditions=-condition_map(resolvent(tab, r), r),
         basis=_collocation_basis(degree),
     )
 
@@ -425,8 +427,6 @@ def _solve_lp(problem: LpProblem) -> DenseWeights | None:
     n = problem.n_variables
 
     def split(mat):
-        if mat.size == 0:
-            return np.zeros((mat.shape[0], 2 * n))
         out = np.empty((mat.shape[0], 2 * n))
         out[:, 0::2] = mat
         out[:, 1::2] = -mat
@@ -484,6 +484,9 @@ def lp_search(
         raise InvalidArgumentError("order must be 1, 2, or 3")
     if degree < 1:
         raise InvalidArgumentError("degree must be at least 1")
+    if degree > MAX_DEGREE:
+        # the certifier could not convert the candidate; fail before any LP
+        raise DegreeTooHighError(f"degree {degree} exceeds {MAX_DEGREE}")
     if r <= 0:
         raise InvalidArgumentError("r must be positive")
     n_collocation = degree + ELEVATION + 1

@@ -65,7 +65,10 @@ def run_figure1(
     formula is second-order accurate but not SSP and is expected to escape.
     Writes ssp.csv and nonssp.csv (columns u0,t,theta,u,formula) when out_dir
     is given; output is deterministic, so reruns are byte-identical.
+    n_steps must be at least 1.
     """
+    if n_steps < 1:
+        raise InvalidArgumentError(f"figure1 needs at least one step, got {n_steps}")
     entry = registry.get("numexample-322")
     weight_sets = {
         "ssp": entry.dense_weights,
@@ -75,56 +78,40 @@ def run_figure1(
     thetas = np.linspace(0.0, 1.0, n_theta)
     problem = sinode(dimension=n_u0)
     traj = integrate_fixed(entry.tableau, problem, u0s, 0.0, h, n_steps)
+    # dense values indexed (step, theta, u0)
+    grids = {
+        formula: np.stack([dense_eval_grid(traj, weights, n, thetas) for n in range(n_steps)])
+        for formula, weights in weight_sets.items()
+    }
 
-    u0_texts = [repr(u0) for u0 in u0s.tolist()]
-    writers = {}
-    handles = []
-    try:
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            for formula in weight_sets:
-                handle = open(
-                    os.path.join(out_dir, f"{formula}.csv"), "w", encoding="utf-8"
-                )
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        u0_texts = [repr(u0) for u0 in u0s.tolist()]
+        for formula, values in grids.items():
+            path = os.path.join(out_dir, f"{formula}.csv")
+            with open(path, "w", encoding="utf-8") as handle:
                 handle.write(CSV_HEADER + "\n")
-                writers[formula] = handle
-                handles.append(handle)
-        stats = {f: {"min": np.inf, "max": -np.inf, "argmin": (0.0, 0.0)} for f in weight_sets}
-        for n in range(n_steps):
-            for formula, weights in weight_sets.items():
-                values = dense_eval_grid(traj, weights, n, thetas)  # (theta, u0)
-                st = stats[formula]
-                lo = float(values.min())
-                if lo < st["min"]:
-                    st["min"] = lo
-                    it, iu = np.unravel_index(np.argmin(values), values.shape)
-                    st["argmin"] = (float(u0s[iu]), float((n + thetas[it]) * h))
-                st["max"] = max(st["max"], float(values.max()))
-                if formula in writers:
-                    handle = writers[formula]
-                    for theta, row in zip(thetas.tolist(), values.tolist()):
+                for n, step_values in enumerate(values):
+                    # one step at a time: a whole-grid tolist() costs memory
+                    for theta, row in zip(thetas.tolist(), step_values.tolist()):
                         middle = f",{float((n + theta) * h)!r},{theta!r},"
                         handle.writelines(
                             f"{u0}{middle}{value!r},{formula}\n"
                             for u0, value in zip(u0_texts, row)
                         )
-    finally:
-        for handle in handles:
-            handle.close()
 
-    ssp, non = stats["ssp"], stats["nonssp"]
-    contained = (
-        ssp["min"] >= -containment_tol and ssp["max"] <= 1.0 + containment_tol
-    )
+    ssp, nonssp = grids["ssp"], grids["nonssp"]
+    ssp_min, ssp_max = float(ssp.min()), float(ssp.max())
+    n, it, iu = np.unravel_index(np.argmin(nonssp), nonssp.shape)
     return Figure1Summary(
         h=h,
         n_steps=n_steps,
-        ssp_min=ssp["min"],
-        ssp_max=ssp["max"],
-        nonssp_min=non["min"],
-        nonssp_max=non["max"],
-        nonssp_argmin=non["argmin"],
-        ssp_contained=contained,
+        ssp_min=ssp_min,
+        ssp_max=ssp_max,
+        nonssp_min=float(nonssp.min()),
+        nonssp_max=float(nonssp.max()),
+        nonssp_argmin=(float(u0s[iu]), float((n + thetas[it]) * h)),
+        ssp_contained=ssp_min >= -containment_tol and ssp_max <= 1.0 + containment_tol,
     )
 
 

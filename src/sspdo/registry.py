@@ -25,45 +25,26 @@ class MethodRegistryEntry:
     dense_order: int | None
 
 
-def _ssp222():
-    tab = validate_tableau([[0, 0], [1, 0]], ["1/2", "1/2"], name="SSP(2,2,2)")
-    return MethodRegistryEntry("ssp222", tab, second_order_weights(tab), 1.0, 1.0, 2, 2)
+def _builtin(key, name, A, b, C, order) -> MethodRegistryEntry:
+    """A documented method with its quadratic dense weights, which keep C."""
+    tab = validate_tableau(A, b, name=name)
+    return MethodRegistryEntry(key, tab, second_order_weights(tab), C, C, order, 2)
 
 
-def _ssp322():
-    tab = validate_tableau(
-        [[0, 0, 0], ["1/2", 0, 0], ["1/2", "1/2", 0]],
-        ["1/3", "1/3", "1/3"],
-        name="SSP(3,2,2)",
-    )
-    return MethodRegistryEntry("ssp322", tab, second_order_weights(tab), 2.0, 2.0, 2, 2)
-
-
-def _ssp332():
-    tab = validate_tableau(
-        [[0, 0, 0], [1, 0, 0], ["1/4", "1/4", 0]],
-        ["1/6", "1/6", "2/3"],
-        name="SSP(3,3,2)",
-    )
-    return MethodRegistryEntry("ssp332", tab, second_order_weights(tab), 1.0, 1.0, 3, 2)
-
-
-def _numexample322():
-    # The three-stage chain of half-size Euler substeps used by the dense
-    # output experiment; coincides with family-s3 in Butcher form (checked in
-    # tests rather than assumed).
-    tab = validate_tableau(
-        [[0, 0, 0], ["1/2", 0, 0], ["1/2", "1/2", 0]],
-        ["1/3", "1/3", "1/3"],
-        name="numexample-322",
-    )
-    return MethodRegistryEntry(
-        "numexample-322", tab, second_order_weights(tab), 2.0, 2.0, 2, 2
-    )
-
+_SSP322 = ([[0, 0, 0], ["1/2", 0, 0], ["1/2", "1/2", 0]], ["1/3", "1/3", "1/3"])
 
 _BUILTIN = {
-    entry.key: entry for entry in (_ssp222(), _ssp322(), _ssp332(), _numexample322())
+    row[0]: _builtin(*row)
+    for row in (
+        ("ssp222", "SSP(2,2,2)", [[0, 0], [1, 0]], ["1/2", "1/2"], 1.0, 2),
+        ("ssp322", "SSP(3,2,2)", *_SSP322, 2.0, 2),
+        ("ssp332", "SSP(3,3,2)", [[0, 0, 0], [1, 0, 0], ["1/4", "1/4", 0]],
+         ["1/6", "1/6", "2/3"], 1.0, 3),
+        # The three-stage chain of half-size Euler substeps used by the dense
+        # output experiment; coincides with family-s3 in Butcher form (checked
+        # in tests rather than assumed).
+        ("numexample-322", "numexample-322", *_SSP322, 2.0, 2),
+    )
 }
 
 _FAMILY_KEY = re.compile(r"^family-s(\d+)$")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import _condition_rows, resolvent
+from .certify import condition_map, resolvent
 from .errors import NonpositiveCError
 from .integrate import Problem, step
 from .tableau import ButcherTableau, DenseWeights, check_stage_count
@@ -89,10 +89,12 @@ def to_shu_osher(
         raise NonpositiveCError("Shu-Osher conversion needs C > 0")
     check_stage_count(tab, weights)
     M = resolvent(tab, C)
-    rows = _condition_rows(M, weights.coeffs, C)
+    beta_bar = C * (condition_map(M, C)[:-1] @ weights.coeffs)
+    mu = -beta_bar.sum(axis=0)
+    mu[0] += 1.0
     alpha = C * (tab.A @ M)
     v = M @ np.ones(tab.s)
-    return ShuOsherDense(C=C, beta_bar=C * rows[:-1], mu=rows[-1], stage_alpha=alpha, stage_v=v)
+    return ShuOsherDense(C=C, beta_bar=beta_bar, mu=mu, stage_alpha=alpha, stage_v=v)
 
 
 def from_shu_osher(tab: ButcherTableau, form: ShuOsherDense) -> DenseWeights:

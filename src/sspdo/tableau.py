@@ -28,14 +28,17 @@ EXACT_TOL = 1e-13
 
 def as_float(value) -> float:
     """Parse a coefficient: numbers pass through, strings like '1/3' are read
-    as exact fractions and rounded to binary floating point once."""
-    if isinstance(value, str):
-        try:
+    as exact fractions and rounded to binary floating point once.  A zero
+    denominator or a value beyond the float range is a ValueError."""
+    try:
+        if isinstance(value, str):
             return float(Fraction(value))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in {value!r}") from exc
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return float(value)
+        if isinstance(value, (int, float, np.integer, np.floating)):
+            return float(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {value!r}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"{value!r} is out of the float range") from exc
     raise TypeError(f"cannot interpret {value!r} as a coefficient")
 
 

@@ -6,6 +6,7 @@ import pytest
 from sspdo import construct, registry, tableau
 from sspdo.certify import (
     bernstein_matrix,
+    condition_map,
     dense_ssp_coefficient,
     monomial_to_bernstein,
     resolvent,
@@ -22,7 +23,7 @@ from sspdo.construct import (
     quadrature_barrier_order3,
     second_order_weights,
 )
-from sspdo.errors import RepeatedAbscissaeError, StructureError
+from sspdo.errors import DegreeTooHighError, RepeatedAbscissaeError, StructureError
 from sspdo.tableau import (
     ButcherTableau,
     DenseWeights,
@@ -333,3 +334,25 @@ def test_lp_equalities_shape_order2():
     problem = build_lp(tab, order=2, degree=2, r=2.0)
     assert problem.A_eq.shape[0] == 2 + 2 + 3
     assert problem.n_variables == 6
+
+
+def test_lp_search_rejects_degree_above_limit_before_any_lp(monkeypatch):
+    # the certifier converts at most MAX_DEGREE; a search past it must fail
+    # before building or solving an LP
+    def no_lp(**kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(construct, "phase1_feasible", no_lp)
+    with pytest.raises(DegreeTooHighError, match="^degree 1000 exceeds 64$"):
+        lp_search(family_tableau(3), order=1, degree=1000, r=1.0)
+    with pytest.raises(DegreeTooHighError, match="^degree 65 exceeds 64$"):
+        lp_search(family_tableau(3), order=1, degree=65, r=1.0)
+
+
+def test_lp_conditions_are_the_negated_condition_map():
+    tab = family_tableau(4)
+    problem = build_lp(tab, order=2, degree=3, r=2.5)
+    M = resolvent(tab, 2.5)
+    assert np.array_equal(problem.conditions, -condition_map(M, 2.5))
+    assert np.array_equal(problem.conditions[:-1], -M.T)
+    assert np.array_equal(problem.conditions[-1], 2.5 * (M @ np.ones(4)))

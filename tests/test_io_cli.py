@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 import sspdo
 from sspdo import registry
 from sspdo.cli import main
-from sspdo.errors import ParseError
+from sspdo.errors import InvalidArgumentError, ParseError
 from sspdo.experiments import run_figure1
 from sspdo.integrate import dense_eval_grid, integrate_fixed
 from sspdo.problems import sinode
@@ -182,6 +184,70 @@ def test_missing_method_source_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["certify"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--method", "ssp222", "--tableau", "m.json"],
+        ["search", "--stages", "5", "--method", "ssp222", "--order", "2",
+         "--degree", "2", "--r", "4"],
+    ],
+    ids=["method-and-tableau", "stages-and-method"],
+)
+def test_two_method_sources_are_a_usage_error(argv, capsys):
+    # neither source silently wins over the other
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, needer",
+    [
+        (["certify", "--method", "family-s5", "--dense"], "--dense"),
+        (["shu-osher", "--method", "family-s5", "--C", "1"], "shu-osher"),
+        (["integrate", "--method", "family-s5", "--u0", "0.3", "--h", "0.5",
+          "--steps", "3", "--dense", "4"], "--dense"),
+    ],
+    ids=["certify", "shu-osher", "integrate"],
+)
+def test_missing_dense_weights_is_a_typed_error(argv, needer, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {needer} requires dense weights (bbar)\n"
+    assert captured.out == ""
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--stages", "3", "--order", "1", "--degree", "1", "--r", "1e400"],
+        ["shu-osher", "--method", "ssp222", "--C", "1e400"],
+        ["certify", "--tableau", "big.json"],
+    ],
+    ids=["search-r", "shu-osher-C", "tableau-entry"],
+)
+def test_coefficient_beyond_float_range_exit_code(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(
+        json.dumps({"A": [[0, 0], ["1e400", 0]], "b": ["1/2", "1/2"]})
+    )
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_missing_file_exit_code(capsys):
@@ -448,6 +514,11 @@ def test_figure1_rejects_zero_step(capsys):
     assert main(["experiment", "figure1", "--h", "0"]) == 2
 
 
+def test_figure1_rejects_zero_steps():
+    with pytest.raises(InvalidArgumentError, match="at least one step"):
+        run_figure1(n_steps=0)
+
+
 def test_sweep_record(capsys):
     assert main(["experiment", "sweep", "--smax", "5", "--format", "record"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -472,3 +543,25 @@ def test_convergence_record(capsys):
         assert abs(row["step_slope"] - step) < tol
         if dense is not None:
             assert abs(row["dense_slope"] - dense) < tol
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+def _readme_commands() -> list[list[str]]:
+    text = open(README, encoding="utf-8").read()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every line of the README's command-line block, with m.json from ssp322
+    commands = _readme_commands()
+    assert len(commands) == 11 and all(commands)
+    entry = registry.get("ssp322")
+    save_tableau_file(tmp_path / "m.json", entry.tableau, entry.dense_weights)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SSPDO_TOL", raising=False)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv

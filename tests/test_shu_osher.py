@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sspdo import registry
+from sspdo import certify, registry
 from sspdo.certify import CertStatus, dense_ssp_coefficient, poly_nonneg_on_unit
 from sspdo.errors import NonpositiveCError, SingularMatrixError
 from sspdo.problems import linear, sinode
@@ -128,3 +128,17 @@ def test_step_equivalence_linear():
         np.linspace(0, 1, 11),
     )
     assert dev <= 1e-13
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_form_reads_the_dense_probe_condition_rows(key):
+    # beta_bar is C times the transformed-weight rows of the dense probe at
+    # r = C, and mu its step-budget row
+    entry = registry.get(key)
+    C = entry.c_combined
+    rows = certify._condition_rows(
+        certify.resolvent(entry.tableau, C), entry.dense_weights.coeffs, C
+    )
+    form = to_shu_osher(entry.tableau, entry.dense_weights, C)
+    assert np.array_equal(form.beta_bar, C * rows[:-1])
+    assert np.allclose(form.mu, rows[-1], rtol=0.0, atol=1e-14)
