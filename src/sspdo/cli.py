@@ -119,7 +119,8 @@ def _cmd_shu_osher(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    tab, weights = _load_method(args, "--dense" if args.dense > 0 else None)
+    # --dense 1 puts no point inside a step, so it needs no weights
+    tab, weights = _load_method(args, "--dense" if args.dense > 1 else None)
     if args.dense < 0:
         raise InvalidArgumentError("--dense must be nonnegative")
     problem = get_problem(args.problem)

@@ -3,13 +3,14 @@
 Two closed-form recipes cover most practical needs: scaling the step weights
 linearly in theta always keeps the full SSP coefficient at first order, and a
 quadratic recipe gives second order whenever the first row of A is zero.  For
-anything else, lp_search solves two feasibility LPs over the free polynomial
+anything else, lp_search solves max-margin LPs over the free polynomial
 coefficients with scipy's HiGHS solver.  A Bernstein restriction (nonnegative
-Bernstein coefficients after degree elevation) yields weights that satisfy
-the conditions for every theta; a collocation relaxation (conditions at
-finitely many theta) can prove that no weights exist.  Every candidate is
-certified in the Bernstein basis before it is reported, so the verdict is
-"feasible" with certified weights, "infeasible", or "inconclusive".
+Bernstein coefficients after degree elevation, or its vertex where it keeps no
+margin) yields weights that satisfy the conditions for every theta; a
+collocation relaxation (conditions at finitely many theta) can prove that no
+weights exist.  Every candidate is certified in the Bernstein basis before it
+is reported, so the verdict is "feasible" with certified weights, "infeasible",
+or "inconclusive".
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import qr
 
 from . import poly
 from .certify import (
@@ -421,28 +423,26 @@ def build_lp(
     )
 
 
-def _solve_lp(problem: LpProblem) -> DenseWeights | None:
-    """Solve the LP in split-variable form; return its weights, or None if
-    it is infeasible."""
-    n = problem.n_variables
+def _margin_rows(problem: LpProblem) -> np.ndarray:
+    """Mask of the inequality rows outside the row space of the equalities,
+    from one pivoted QR of A_eq^T.  The rows inside it, such as the first
+    Bernstein coefficients that the theta=0 pins fix, can keep no margin."""
+    Q, R, _ = qr(problem.A_eq.T, mode="economic", pivoting=True)
+    Q = Q[:, np.abs(np.diag(R)) > 1e-9 * abs(R[0, 0])]
+    A = problem.A_ub
+    return np.linalg.norm(A - (A @ Q) @ Q.T, axis=1) > 1e-9 * np.linalg.norm(A, axis=1)
 
-    def split(mat):
-        out = np.empty((mat.shape[0], 2 * n))
-        out[:, 0::2] = mat
-        out[:, 1::2] = -mat
-        return out
 
-    result = phase1_feasible(
-        A_eq=split(problem.A_eq),
-        b_eq=problem.b_eq,
-        A_ub=split(problem.A_ub),
-        b_ub=problem.b_ub,
-    )
+def _solve_lp(problem: LpProblem, margin: bool = True) -> tuple[DenseWeights | None, float]:
+    """Weights (None if infeasible) and margin of the LP over free coefficients,
+    with the margin on _margin_rows maximized, or at a vertex if not margin."""
+    mask = _margin_rows(problem) if margin else None
+    result = phase1_feasible(problem.A_eq, problem.b_eq, problem.A_ub, problem.b_ub, mask)
     if not result.feasible:
-        return None
+        return None, 0.0
     coeffs = np.zeros((problem.s, problem.degree + 1))
-    coeffs[:, 1:] = (result.x[0::2] - result.x[1::2]).reshape(problem.s, problem.degree)
-    return DenseWeights(coeffs)
+    coeffs[:, 1:] = result.x.reshape(problem.s, problem.degree)
+    return DenseWeights(coeffs), result.margin
 
 
 def _certify_candidate(tab, weights, order, r) -> bool:
@@ -466,12 +466,14 @@ def lp_search(
     """Search for dense weights of the requested order and degree feasible at r.
 
     Closed-form necessary conditions are screened first so an infeasible
-    verdict carries an interpretable cause.  Then at most two LPs run, each
-    once, with the same equalities:
+    verdict carries an interpretable cause.  Then at most three LPs run, with
+    the same equalities:
 
     1. the Bernstein restriction: every transformed weight and the budget must
        have nonnegative Bernstein coefficients at degree D + ELEVATION, which
-       implies the continuous conditions; a point that certifies is "feasible";
+       implies the continuous conditions; its max-margin point (_solve_lp)
+       that certifies is "feasible", and so is its vertex if that point fails
+       with margin <= 0;
     2. the relaxation at D + ELEVATION + 1 collocation points: infeasible
        means "infeasible", a point that certifies is "feasible", and any
        other point leaves the verdict "inconclusive".
@@ -499,11 +501,17 @@ def lp_search(
     if violation is not None:
         return SearchResult("infeasible", None, violation, n_collocation)
     relaxation = build_lp(tab, order, degree, r)
+    restriction = replace(relaxation, basis=_bernstein_basis(degree))
     try:
-        weights = _solve_lp(replace(relaxation, basis=_bernstein_basis(degree)))
-        if weights is not None and _certify_candidate(tab, weights, order, r):
+        weights, margin = _solve_lp(restriction)
+        certified = weights is not None and _certify_candidate(tab, weights, order, r)
+        if weights is not None and margin <= 0 and not certified:
+            # some rows must touch zero (at r = C, say); try the vertex
+            weights, _ = _solve_lp(restriction, margin=False)
+            certified = weights is not None and _certify_candidate(tab, weights, order, r)
+        if certified:
             return SearchResult("feasible", weights, collocation=n_collocation)
-        weights = _solve_lp(relaxation)
+        weights, _ = _solve_lp(relaxation)
     except IterationLimitError:
         # An LP stopped at the iteration bound decides nothing.
         return SearchResult("inconclusive", None, collocation=n_collocation)

@@ -257,6 +257,48 @@ def test_lp_search_decides_where_the_coarse_relaxation_broke_down(s, order, r):
     assert result.status == "infeasible" and result.weights is None
 
 
+@pytest.mark.parametrize(
+    "s, order, degree, r",
+    [(9, 1, 1, 7.75), (10, 2, 6, 8.75)]
+    # degree monotonicity: a certified degree stays certified at D+1 and D+2
+    + [(10, 2, degree, 8.75) for degree in (7, 8)]
+    + [(9, 2, degree, 7.75) for degree in (5, 6, 7)],
+)
+def test_lp_search_margin_point_certifies(s, order, degree, r):
+    # a vertex of the restriction touches zero and misses the certifier's
+    # 1e-12 slack here; the max-margin point keeps clear of it
+    result = lp_search(family_tableau(s), order=order, degree=degree, r=r)
+    assert result.status == "feasible" and result.certified
+
+
+@pytest.mark.parametrize("s, degree", [(5, 5), (8, 6)])
+def test_lp_search_without_margin_falls_back_to_a_vertex(monkeypatch, s, degree):
+    # at r = C the restriction keeps no margin and its margin point fails
+    # certification; the vertex of the same LP without a margin column certifies
+    margins = []
+    original = construct.phase1_feasible
+
+    def recording(A_eq, b_eq, A_ub, b_ub, margin=None):
+        result = original(A_eq, b_eq, A_ub, b_ub, margin)
+        margins.append(None if margin is None else result.margin)
+        return result
+
+    monkeypatch.setattr(construct, "phase1_feasible", recording)
+    result = lp_search(family_tableau(s), order=2, degree=degree, r=float(s - 1))
+    assert result.status == "feasible" and result.certified
+    assert len(margins) == 2 and margins[0] <= 0 and margins[1] is None
+
+
+def test_margin_skips_the_rows_the_pins_fix():
+    # the theta=0 pins fix the first Bernstein coefficient of each of the
+    # s + 1 conditions; every other restriction row can keep a margin
+    problem = build_lp(family_tableau(5), order=2, degree=3, r=4.0)
+    restriction = replace(problem, basis=construct._bernstein_basis(3))
+    mask = construct._margin_rows(restriction).reshape(3 + ELEVATION, 6)
+    assert not mask[0].any() and mask[1:].all()
+    assert construct._margin_rows(problem).all()
+
+
 def test_lp_restriction_rows_are_bernstein_coefficients():
     # the slack of each restriction row is one elevated Bernstein coefficient
     # of a transformed weight or of the step budget

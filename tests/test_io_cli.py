@@ -176,6 +176,16 @@ def test_integrate_dense_without_weights_exit_code(capsys):
     assert "--dense requires dense weights" in captured.err
 
 
+def test_integrate_dense_one_needs_no_weights(capsys):
+    # --dense 1 evaluates no point inside a step: the rows of --dense 0
+    argv = ["integrate", "--method", "family-s5", "--u0", "0.3", "--h", "0.5", "--steps", "2"]
+    assert main(argv + ["--dense", "0"]) == 0
+    rows = capsys.readouterr().out
+    assert main(argv + ["--dense", "1"]) == 0
+    assert capsys.readouterr().out == rows
+    assert len(rows.splitlines()) == 1 + 3
+
+
 def test_unknown_method_exit_code(capsys):
     assert main(["certify", "--method", "nope"]) == 2
 
@@ -410,8 +420,8 @@ def test_search_iteration_bound_is_inconclusive(monkeypatch, capsys):
 
 
 def test_search_solves_are_bounded(monkeypatch, capsys):
-    # this search spends about a minute in one unbounded solve; with a low
-    # bound it must end inconclusive after few iterations
+    # this search certifies after about 590 HiGHS iterations; with a bound of
+    # 100 its first LP stops and the search must end inconclusive
     import scipy.optimize
 
     from sspdo import simplex
@@ -420,19 +430,26 @@ def test_search_solves_are_bounded(monkeypatch, capsys):
     linprog = scipy.optimize.linprog
 
     def counting(*args, **kwargs):
-        assert kwargs["options"] == {"maxiter": 2_000}
+        assert kwargs["options"] == {"maxiter": 100}
         result = linprog(*args, **kwargs)
         iterations.append(result.nit)
         return result
 
-    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 2_000)
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 100)
     monkeypatch.setattr(scipy.optimize, "linprog", counting)
     assert main(SEARCH_S10 + ["--format", "record"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "status": "inconclusive", "certified": False, "weights": None,
         "violated_necessary": None, "collocation": 6 + 32 + 1,
     }
-    assert max(iterations) <= 2_000
+    assert max(iterations) <= 100
+
+
+def test_search_at_degree_ten_decides(capsys):
+    # a verdict, not a solver breakdown: HiGHS stops with status 4 (exit 2)
+    # on this search's LPs in split variables
+    argv = ["search", "--stages", "11", "--order", "2", "--degree", "10", "--r", "9"]
+    assert main(argv) == 0
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
