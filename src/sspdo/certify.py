@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetri, dtrtri
 
 from . import poly
 from .errors import (
@@ -50,6 +49,17 @@ MAX_NODES = 200_000
 MAX_DEGREE = 64         # highest polynomial degree the certifier converts
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported at the first call: scipy.linalg adds
+    ~0.34 s and ~26 MB to a process, and construct, integrate, figure1 and
+    convergence never invert.  Cached, because an import statement in
+    resolvent costs ~2.4 us per call, ~1.5% of a sweep."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
     """Inverse of I + r*A from LAPACK's inversion routines.
 
@@ -60,12 +70,14 @@ def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
     1e-12, raises SingularMatrixError.  These routines stay on one thread at
     these sizes, whereas a solve against the identity (dtrtrs, lu_solve)
     hands its s right-hand sides to OpenBLAS's threaded trsm, whose worker
-    thread then spins between probes.
+    thread then spins between probes.  LAPACK is imported at the first call
+    (_lapack), not with the module, so the CLI starts without scipy.
     """
+    lapack = _lapack()
     B = np.eye(tab.s) + r * tab.A
     if tab.explicit:
-        return dtrtri(B, lower=1, unitdiag=1)[0]
-    lu, piv, info = dgetrf(B)
+        return lapack.dtrtri(B, lower=1, unitdiag=1)[0]
+    lu, piv, info = lapack.dgetrf(B)
     # an overflowed entry can leave finite pivots and a finite, wrong inverse
     if info > 0 or not np.isfinite(B).all():
         raise SingularMatrixError(f"I + {r}*A is singular")
@@ -73,7 +85,7 @@ def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
         raise SingularMatrixError(
             f"pivot below {PIVOT_TOL} while factorizing I + {r}*A"
         )
-    return dgetri(lu, piv)[0]
+    return lapack.dgetri(lu, piv)[0]
 
 
 @dataclass(frozen=True)

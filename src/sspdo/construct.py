@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import qr
 
 from . import poly
 from .certify import (
@@ -427,6 +426,8 @@ def _margin_rows(problem: LpProblem) -> np.ndarray:
     """Mask of the inequality rows outside the row space of the equalities,
     from one pivoted QR of A_eq^T.  The rows inside it, such as the first
     Bernstein coefficients that the theta=0 pins fix, can keep no margin."""
+    from scipy.linalg import qr  # imported here to keep scipy out of CLI start
+
     Q, R, _ = qr(problem.A_eq.T, mode="economic", pivoting=True)
     Q = Q[:, np.abs(np.diag(R)) > 1e-9 * abs(R[0, 0])]
     A = problem.A_ub

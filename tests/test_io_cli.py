@@ -453,16 +453,58 @@ def test_search_at_degree_ten_decides(capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.3 s and 19 MB to import; only an LP solve
-    # may load it, never the CLI start
+    # scipy.linalg costs about 0.34 s and 26 MB to import, then
+    # scipy.optimize about 0.3 s and 20 MB more; only a resolvent or an LP
+    # solve may load them, never the CLI start
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, sspdo.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, sspdo.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+_SCIPY_LINALG_PROBE = """
+import sys
+from sspdo.cli import main
+code = main(sys.argv[1:])
+print("scipy.linalg" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_linalg",
+    [
+        (["experiment", "figure1", "--out", "OUT"], False),
+        (["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5",
+          "--steps", "2", "--dense", "4"], False),
+        (["experiment", "convergence"], False),
+        (["construct", "--method", "ssp222", "--order", "2"], False),
+        (["certify", "--method", "ssp222", "--format", "record"], True),
+    ],
+    ids=["figure1", "integrate", "convergence", "construct", "certify"],
+)
+def test_only_a_resolvent_loads_scipy_linalg(argv, loads_linalg, tmp_path):
+    # a cold process: LAPACK is imported inside the first resolvent call
+    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(sspdo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SSPDO_TOL", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LINALG_PROBE, *argv], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    *lines, loaded = out.stdout.splitlines()
+    assert loaded == str(loads_linalg)
+    if loads_linalg:
+        assert json.loads(lines[0])["r_method"] == 1.0
 
 
 @pytest.mark.parametrize(
