@@ -47,6 +47,7 @@ WITNESS_TOL = 1e-15
 MAX_DEPTH = 40
 MAX_NODES = 200_000
 MAX_DEGREE = 64         # highest polynomial degree the certifier converts
+MAX_STAGES = 1000       # largest family member built: certify takes ~8 s there
 
 
 @functools.cache
@@ -90,11 +91,12 @@ def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed inequality: which condition, where, and the offending value."""
+    """One failed inequality: which condition, where, and the offending value
+    (None for a singular I + r*A, which has no value)."""
 
     condition: str
     index: tuple | None
-    value: float
+    value: float | None
     theta: float | None = None
 
 
@@ -106,18 +108,29 @@ class FeasibilityCheck:
     inconclusive: bool = False
 
 
-def _stage_conditions(tab: ButcherTableau, r: float, M: np.ndarray) -> list[Violation]:
+def _stage_conditions(
+    tab: ButcherTableau, r: float, M: np.ndarray
+) -> tuple[list[Violation], bool]:
+    """Violations of A M >= 0 and r A M e <= 1, and whether an entry or a
+    budget is non-finite: it is neither certified nor a witness, so it makes
+    the probe inconclusive, as a non-finite Bernstein cell does."""
     AM = tab.A @ M
+    rows = r * (AM @ np.ones(tab.s))
+    # a non-finite entry leaves its row's budget non-finite too
+    inconclusive = not np.isfinite(rows).all()
     bad = AM < -GE_TOL
+    over = rows > 1.0 + LE_TOL
+    if inconclusive:
+        bad &= np.isfinite(AM)
+        over &= np.isfinite(rows)
     bad_rows, bad_cols = np.nonzero(bad)
     violations = [
         Violation("stage_nonneg", (i + 1, j + 1), value)
         for i, j, value in zip(bad_rows.tolist(), bad_cols.tolist(), AM[bad].tolist())
     ]
-    rows = r * (AM @ np.ones(tab.s))
-    for i in np.nonzero(rows > 1.0 + LE_TOL)[0]:
+    for i in np.nonzero(over)[0]:
         violations.append(Violation("stage_bound", (int(i) + 1,), float(rows[i])))
-    return violations
+    return violations, inconclusive
 
 
 class CertStatus(Enum):
@@ -238,10 +251,10 @@ def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> Feasibil
     except SingularMatrixError:
         return FeasibilityCheck(
             feasible=False,
-            violations=(Violation("singular", None, float("nan")),),
+            violations=(Violation("singular", None, None),),
             singular=True,
         )
-    violations = _stage_conditions(tab, r, M)
+    violations, inconclusive = _stage_conditions(tab, r, M)
     rows = _condition_rows(M, W, r)
     # Same sign slack as the stage checks: >=0 allows -GE_TOL and <=1 allows
     # 1+LE_TOL, folded into the constant coefficient before certification.
@@ -249,7 +262,6 @@ def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> Feasibil
     rows[-1, 0] += LE_TOL
     # Nonnegative Bernstein coefficients certify a row; NaN fails this test.
     certified = (monomial_to_bernstein(rows) >= 0.0).all(axis=1)
-    inconclusive = False
     for j in np.flatnonzero(~certified).tolist():
         report = poly_nonneg_on_unit(rows[j])
         if report.certified is CertStatus.NEGATIVE:
@@ -296,13 +308,16 @@ class SupResult:
 def _sup_by_bisection(probe, tol: float) -> SupResult:
     """Bisection for sup{r >= 0 : probe(r) feasible} over an interval-shaped set.
 
-    Every radius is probed once.  lo is always the last radius that probed
-    feasible (1e-10, a doubling point or a midpoint), so it needs no second
-    probe; only the radius just above the sup is post-verified, and a
-    feasible probe there, like one at 1e-8 after an infeasible 1e-10, means a
-    non-interval set and surfaces as an error rather than a wrong answer.
-    Bisection stops at tol or once the bracket cannot be split in floating
-    point, whichever comes first.
+    One loop brackets the sup: starting from lo = 0, it probes hi = 1e-10,
+    then max(1, 2*hi) capped at R_CAP, until a probe is infeasible; a
+    feasible probe at R_CAP means unbounded.  Bisection then halves the
+    bracket until it is at most tol wide or cannot be split in floating
+    point.  Every radius is probed once: lo is 0 or the last radius that
+    probed feasible, so only the radius lo*(1+1e-8)+1e-8 just above the sup
+    is post-verified, and a feasible probe there means a non-interval set and
+    surfaces as an error rather than a wrong answer.  For r = 0 that radius
+    is 1e-8; a tol below 1e-10 also bisects (0, 1e-10) when 1e-10 probes
+    infeasible.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tolerance must be finite and positive, got {tol}")
@@ -314,30 +329,11 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
         conservative = conservative or check.inconclusive
         return check
 
-    first = run(1e-10)
-    if not first.feasible:
-        upper = run(1e-8)
-        if upper.feasible:
-            raise PostVerificationError(
-                "feasible at r=1e-8 but not at r=1e-10; feasible set is not an interval",
-                r=1e-8,
-            )
-        return SupResult(0.0, first, False, conservative)
-    lo, hi = 1e-10, 1.0
-    first_bad = None
-    while True:
+    lo, hi = 0.0, 1e-10
+    while (first_bad := run(hi)).feasible:
         if hi >= R_CAP:
-            check = run(R_CAP)
-            if check.feasible:
-                return SupResult(R_CAP, None, True, conservative)
-            first_bad = check
-            hi = R_CAP
-            break
-        check = run(hi)
-        if not check.feasible:
-            first_bad = check
-            break
-        lo, hi = hi, 2.0 * hi
+            return SupResult(R_CAP, None, True, conservative)
+        lo, hi = hi, min(max(1.0, 2.0 * hi), R_CAP)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

@@ -30,7 +30,7 @@ from .experiments import (
     run_convergence_tables,
     run_figure1,
 )
-from .integrate import dense_eval, integrate_fixed
+from .integrate import dense_eval_grid, integrate_fixed
 from .problems import get_problem
 from .shu_osher import to_shu_osher
 from .tableau import as_float
@@ -75,8 +75,9 @@ def _cmd_certify(args) -> int:
             print("  first infeasible probe violations:")
             for v in cert.witnesses:
                 where = f" at {v.index}" if v.index else ""
+                value = f": {v.value:.6g}" if v.value is not None else ""
                 theta = f", theta={v.theta:.6g}" if v.theta is not None else ""
-                print(f"    {v.condition}{where}: {v.value:.6g}{theta}")
+                print(f"    {v.condition}{where}{value}{theta}")
     _emit(cert.as_record())
     return 0
 
@@ -125,14 +126,14 @@ def _cmd_integrate(args) -> int:
         raise InvalidArgumentError("--dense must be nonnegative")
     problem = get_problem(args.problem)
     traj = integrate_fixed(tab, problem, [args.u0], 0.0, args.h, args.steps)
+    thetas = [i / args.dense for i in range(1, args.dense)]
     print("t,theta_global,u,is_step_point")
     for n in range(args.steps):
         t = n * args.h
         print(f"{t!r},{float(n)!r},{float(traj.states[n][0])!r},1")
-        for i in range(1, args.dense):
-            theta = i / args.dense
-            u = float(dense_eval(traj, weights, n, theta)[0])
-            print(f"{(n + theta) * args.h!r},{n + theta!r},{u!r},0")
+        values = dense_eval_grid(traj, weights, n, thetas)[:, 0] if thetas else ()
+        for theta, u in zip(thetas, values):
+            print(f"{(n + theta) * args.h!r},{n + theta!r},{float(u)!r},0")
     t_end = args.steps * args.h
     print(f"{t_end!r},{float(args.steps)!r},{float(traj.states[-1][0])!r},1")
     return 0
@@ -262,10 +263,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SspdoError, KeyError, OSError) as exc:
-        # str() of a KeyError quotes its message; print the message itself
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (SspdoError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import poly
 from .certify import (
     MAX_DEGREE,
+    MAX_STAGES,
     CertStatus,
     bernstein_matrix,
     condition_map,
@@ -56,11 +57,13 @@ ELEVATION = 32
 
 def family_tableau(s: int) -> ButcherTableau:
     """Optimal second-order SSP method with s stages: a_ij = 1/(s-1) below the
-    diagonal, b_j = 1/s, SSP coefficient s-1."""
+    diagonal, b_j = 1/s, SSP coefficient s-1; built for 2 <= s <= MAX_STAGES."""
     if s < 2:
         raise InvalidArgumentError(
             "the family needs s >= 2 (abscissas divide by s-1)"
         )
+    if s > MAX_STAGES:
+        raise InvalidArgumentError(f"the family is built up to s = {MAX_STAGES}, got {s}")
     A = np.zeros((s, s))
     A[np.tril_indices(s, -1)] = 1.0 / (s - 1)
     b = np.full(s, 1.0 / s)

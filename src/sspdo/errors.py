@@ -18,7 +18,8 @@ class AbscissaMismatchError(SspdoError, ValueError):
 
 
 class SingularMatrixError(SspdoError, ArithmeticError):
-    """A pivot of magnitude below tolerance was met while factorizing I + r*A."""
+    """I + r*A has no usable inverse: it is exactly singular, has a
+    non-finite entry, or has a pivot of magnitude below tolerance."""
 
 
 class NonpositiveCError(SspdoError, ValueError):
@@ -60,6 +61,13 @@ class ParseError(SspdoError, ValueError):
 class InvalidArgumentError(SspdoError, ValueError):
     """A numeric argument (stage count, order, degree, r, dense points per
     step) is out of range, or a coefficient is not finite."""
+
+
+class UnknownNameError(SspdoError, KeyError):
+    """No built-in method or problem has this name."""
+
+    # KeyError.__str__ quotes the message; print it as written
+    __str__ = Exception.__str__
 
 
 class NumericalCycleError(SspdoError, RuntimeError):

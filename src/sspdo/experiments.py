@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .certify import DEFAULT_BISECT_TOL, compute_certificate
+from .certify import DEFAULT_BISECT_TOL, MAX_STAGES, compute_certificate
 from .construct import family_tableau, first_order_weights, second_order_weights
 from .errors import InvalidArgumentError
 from .integrate import (
@@ -141,8 +141,8 @@ def run_certification_sweep(
     recipe.  The budget inequality holds through s = 4 and fails from s = 5 on,
     which is exactly where the quadratic recipe stops keeping the full
     coefficient."""
-    if s_max < 2:
-        raise InvalidArgumentError(f"s_max must be at least 2, got {s_max}")
+    if not 2 <= s_max <= MAX_STAGES:
+        raise InvalidArgumentError(f"s_max must be in [2, {MAX_STAGES}], got {s_max}")
     rows = []
     for s in range(2, s_max + 1):
         tab = family_tableau(s)

@@ -121,38 +121,31 @@ def integrate_fixed(
     )
 
 
-def _check_dense_args(traj: Trajectory, weights: DenseWeights, n: int, thetas) -> None:
-    """A stored step index, every theta in [0,1] (NaN is not), and one weight
-    row per stored stage."""
-    if not 0 <= n < traj.n_steps:
-        raise IndexError(f"step index {n} outside [0, {traj.n_steps})")
-    thetas = np.asarray(thetas)
-    outside = ~((thetas >= 0.0) & (thetas <= 1.0))
-    if outside.any():
-        raise InvalidArgumentError(f"theta {thetas[outside][0]} outside [0, 1]")
-    if weights.s != traj.stage_derivs.shape[1]:
-        raise DimensionMismatchError("weights do not match the stored stage count")
-
-
 def dense_eval(
     traj: Trajectory, weights: DenseWeights, n: int, theta: float
 ) -> np.ndarray:
-    """Dense solution u_n + h sum_j w_j(theta) f(y_j) within step n.
-
-    The solution is defined piecewise over the steps, so theta always lives
-    in [0,1].
-    """
-    _check_dense_args(traj, weights, n, theta)
-    wv = weights.evaluate(theta)
-    return traj.states[n] + traj.h * (wv @ traj.stage_derivs[n])
+    """Dense solution within step n at one theta in [0,1]: dense_eval_grid
+    at the single point, so both give the same bits."""
+    return dense_eval_grid(traj, weights, n, [theta])[0]
 
 
 def dense_eval_grid(
     traj: Trajectory, weights: DenseWeights, n: int, thetas
 ) -> np.ndarray:
-    """Vectorized dense_eval over a theta grid; shape (len(thetas), dim)."""
+    """Dense solution u_n + h sum_j w_j(theta) f(y_j) within step n over a
+    theta grid; shape (len(thetas), dim).
+
+    The solution is defined piecewise over the steps, so theta always lives
+    in [0,1].  This is the one evaluator of the dense formula.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    _check_dense_args(traj, weights, n, thetas)
+    if not 0 <= n < traj.n_steps:
+        raise IndexError(f"step index {n} outside [0, {traj.n_steps})")
+    outside = ~((thetas >= 0.0) & (thetas <= 1.0))  # NaN is outside too
+    if outside.any():
+        raise InvalidArgumentError(f"theta {thetas[outside][0]} outside [0, 1]")
+    if weights.s != traj.stage_derivs.shape[1]:
+        raise DimensionMismatchError("weights do not match the stored stage count")
     powers = thetas[:, None] ** np.arange(weights.degree + 1)[None, :]
     wv = powers @ weights.coeffs.T  # (n_theta, s)
     return traj.states[n][None, :] + traj.h * (wv @ traj.stage_derivs[n])
@@ -212,8 +205,8 @@ def convergence_study(
         if weights is not None:
             worst = 0.0
             for n in range(n_steps):
-                for theta in thetas:
-                    value = dense_eval(traj, weights, n, theta)
+                values = dense_eval_grid(traj, weights, n, thetas)
+                for theta, value in zip(thetas, values):
                     truth = problem.exact(times[n] + theta * h, u0)
                     worst = max(worst, float(np.max(np.abs(value - truth))))
             dense_errors.append(worst)

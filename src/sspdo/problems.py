@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import UnknownNameError
 from .integrate import Problem
 
 
@@ -65,7 +66,7 @@ def get_problem(name: str, dimension: int = 1) -> Problem:
     try:
         factory = BUILTIN_PROBLEMS[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownNameError(
             f"unknown problem {name!r}; available: {sorted(BUILTIN_PROBLEMS)}"
         ) from None
     return factory(dimension=dimension)

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .construct import family_tableau, second_order_weights
+from .errors import UnknownNameError
 from .tableau import ButcherTableau, DenseWeights, validate_tableau
 
 
@@ -65,7 +66,7 @@ def get(key: str) -> MethodRegistryEntry:
         # No quadratic dense output keeps the full coefficient for s >= 5,
         # and no larger-degree formula is documented; ship the method alone.
         return MethodRegistryEntry(key, tab, None, float(s - 1), None, 2, None)
-    raise KeyError(f"unknown method {key!r}; available: {keys()} or family-s<k>")
+    raise UnknownNameError(f"unknown method {key!r}; available: {keys()} or family-s<k>")
 
 
 def keys() -> list[str]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .certify import condition_map, resolvent
 from .errors import NonpositiveCError
-from .integrate import Problem, step
+from .integrate import Problem, Trajectory, dense_eval_grid, step
 from .tableau import ButcherTableau, DenseWeights, check_stage_count
 
 
@@ -119,11 +119,11 @@ def shu_osher_step_equivalence(
     identical, so the deviation is pure roundoff."""
     form = to_shu_osher(tab, weights, C)
     u_n = np.atleast_1d(np.asarray(u_n, dtype=float))
-    _, stage_values, stage_derivs = step(tab, problem, t_n, u_n, h)
+    thetas = np.asarray(thetas, dtype=float)
+    u_next, stage_values, stage_derivs = step(tab, problem, t_n, u_n, h)
+    traj = Trajectory(t0=t_n, h=h, states=[u_n, u_next], stage_derivs=[stage_derivs])
     worst = 0.0
-    for theta in thetas:
-        wv = weights.evaluate(theta)
-        direct = u_n + h * (wv @ stage_derivs)
+    for theta, direct in zip(thetas, dense_eval_grid(traj, weights, 0, thetas)):
         converted = form.dense_value(u_n, stage_values, stage_derivs, h, theta)
         worst = max(worst, float(np.max(np.abs(direct - converted))))
     return worst

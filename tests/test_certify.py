@@ -132,6 +132,66 @@ def test_bisection_probes_each_radius_once(sup):
     assert result.value == pytest.approx(sup, abs=1e-9)
 
 
+def _probed_radii(sup, tol=1e-10):
+    radii = []
+
+    def probe(r):
+        radii.append(r)
+        return FeasibilityCheck(feasible=0.0 < r <= sup, violations=())
+
+    return radii, _sup_by_bisection(probe, tol)
+
+
+def test_bisection_radii_at_zero_sup():
+    # the bracket (0, 1e-10) is already within tol: only the post-verification
+    # radius 1e-8 follows
+    radii, result = _probed_radii(0.0)
+    assert radii == [1e-10, 1e-8]
+    assert (result.value, result.unbounded) == (0.0, False)
+    # a finer tol bisects (0, 1e-10) first, halving down to tol
+    radii, result = _probed_radii(0.0, tol=1e-12)
+    assert radii == [1e-10 / 2**k for k in range(8)] + [1e-8]
+    assert result.value == 0.0
+
+
+def test_bisection_radii_at_interior_sup():
+    radii, result = _probed_radii(1.7)
+    assert radii[:4] == [1e-10, 1.0, 2.0, 1.5]
+    assert len(radii) == 38
+    assert all(1.0 < r < 2.0 for r in radii[3:-1])
+    assert result.value == 1.6999999999534339
+    assert radii[-1] == result.value * (1.0 + 1e-8) + 1e-8
+
+
+def test_bisection_radii_at_cap():
+    # doubling from 1 reaches 2^19, then the cap itself; no post-verification
+    radii, result = _probed_radii(certify.R_CAP)
+    assert radii == [1e-10] + [2.0**k for k in range(20)] + [certify.R_CAP]
+    assert (result.value, result.unbounded, result.first_infeasible) == (
+        certify.R_CAP, True, None,
+    )
+
+
+def test_nonfinite_stage_entry_is_inconclusive():
+    # I + rA inverts to entries near 1e300 whose products with A overflow:
+    # the infinite stage entry is neither certified nor a witness
+    tab = ButcherTableau(
+        A=np.array([[0.0, 0.0, 0.0], [1e160, 0.0, 0.0], [0.0, 1e160, 0.0]]),
+        b=np.full(3, 1.0 / 3.0),
+    )
+    with np.errstate(over="ignore"):
+        check = monotonicity_feasible_method(tab, 1e-10)
+    assert check.inconclusive and not check.feasible
+    assert all(np.isfinite(v.value) for v in check.violations)
+    assert "stage_nonneg" not in {v.condition for v in check.violations}
+
+
+def test_singular_witness_has_no_value():
+    tab = ButcherTableau(A=np.array([[-1.0]]), b=np.array([1.0]))
+    (witness,) = monotonicity_feasible_method(tab, 1.0).violations
+    assert (witness.condition, witness.value) == ("singular", None)
+
+
 def test_permutation_invariance_of_coefficient():
     entry = registry.get("ssp332")
     perm = np.array([2, 0, 1])

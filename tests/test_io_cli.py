@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sspdo
-from sspdo import registry
+from sspdo import cli, registry
 from sspdo.cli import main
 from sspdo.errors import InvalidArgumentError, ParseError
 from sspdo.experiments import run_figure1
@@ -186,8 +186,34 @@ def test_integrate_dense_one_needs_no_weights(capsys):
     assert len(rows.splitlines()) == 1 + 3
 
 
+@pytest.mark.parametrize("key", registry.keys())
+def test_integrate_dense_values_are_dense_eval_grid(key, capsys):
+    # the CLI prints the one dense evaluator's values, to the last bit
+    argv = ["integrate", "--method", key, "--problem", "sinode", "--u0", "0.3",
+            "--h", "0.5", "--steps", "10", "--dense", "8"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    printed = np.array([float(row[2]) for row in rows if row[3] == "0"]).reshape(10, 7)
+    entry = registry.get(key)
+    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.0, 0.5, 10)
+    thetas = np.arange(1, 8) / 8
+    grid = [dense_eval_grid(traj, entry.dense_weights, n, thetas)[:, 0] for n in range(10)]
+    assert np.array_equal(printed, grid)
+
+
 def test_unknown_method_exit_code(capsys):
     assert main(["certify", "--method", "nope"]) == 2
+
+
+def test_key_error_inside_a_command_is_not_a_usage_error(monkeypatch):
+    # only the typed unknown-name error is a usage error; a KeyError from a
+    # bug propagates instead of exiting 2
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "compute_certificate", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["certify", "--method", "ssp222"])
 
 
 def test_missing_method_source_exit_code(capsys):
@@ -288,8 +314,13 @@ def test_search_bad_argument_exit_code(argv, capsys):
         ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "-1", "--steps", "3"],
         ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5", "--steps", "3",
          "--dense", "-3"],
+        # beyond the stage bound: no allocation of s x s arrays, no hour-long sweep
+        ["experiment", "sweep", "--smax", "100000000"],
+        ["certify", "--method", "family-s100000000"],
+        ["search", "--stages", "1001", "--order", "2", "--degree", "2", "--r", "1"],
     ],
-    ids=["sweep-smax-one", "negative-steps", "negative-step-size", "negative-dense"],
+    ids=["sweep-smax-one", "negative-steps", "negative-step-size", "negative-dense",
+         "sweep-above-stage-bound", "family-above-stage-bound", "stages-above-bound"],
 )
 def test_bad_argument_exit_code(argv, capsys):
     assert main(argv) == 2
@@ -525,6 +556,41 @@ def test_nonfinite_coefficient_exit_code(fields, tmp_path, capsys):
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_singular_witness_record_is_strict_json(tmp_path, capsys):
+    # I + rA is singular at r = 1/3: the witness carries no value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"A": [[1, 2], [2, 1]], "b": ["1/2", "1/2"]}))
+    assert main(["certify", "--tableau", str(path), "--format", "record"]) == 0
+    record = _strict_json(capsys.readouterr().out)
+    assert record["witnesses"] == [
+        {"condition": "singular", "index": None, "value": None, "theta": None}
+    ]
+    assert main(["certify", "--tableau", str(path)]) == 0
+    assert "\n    singular\n" in capsys.readouterr().out
+
+
+def test_overflowing_stage_record_is_strict_json(tmp_path, capsys):
+    # A (I + rA)^{-1} overflows: that entry makes the probe inconclusive
+    # instead of a -Infinity witness
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"A": [[0, 0, 0], [1e160, 0, 0], [0, 1e160, 0]], "b": ["1/3", "1/3", "1/3"]}
+    ))
+    with np.errstate(over="ignore"):
+        assert main(["certify", "--tableau", str(path), "--format", "record"]) == 0
+    record = _strict_json(capsys.readouterr().out)
+    assert record["r_method"] == 0.0
+    assert record["conservative"] is True
+    assert "stage_nonneg" not in {w["condition"] for w in record["witnesses"]}
 
 
 def test_figure1_record_and_determinism(tmp_path, capsys):

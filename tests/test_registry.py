@@ -4,6 +4,7 @@ import pytest
 from sspdo import registry
 from sspdo.certify import dense_ssp_coefficient, ssp_coefficient
 from sspdo.construct import family_tableau
+from sspdo.errors import SspdoError
 from sspdo.tableau import (
     dense_order_residuals,
     method_order_residuals,
@@ -44,8 +45,11 @@ def test_family_lookup():
 
 
 def test_unknown_key():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as info:
         registry.get("rk4")
+    # one typed error, printed unquoted
+    assert isinstance(info.value, SspdoError)
+    assert str(info.value).startswith("unknown method 'rk4'; available:")
 
 
 def test_nonssp_weights_shape():
