@@ -386,14 +386,12 @@ class XineqReport:
     holds: bool
     lhs: float   # gamma at r = ssp coefficient
     rhs: float   # 1 - ssp coefficient / 4
-    r: float
 
 
-def check_xineq(
-    tab: ButcherTableau, r: float | None = None, tol: float = 1e-9
-) -> XineqReport:
+def check_xineq(tab: ButcherTableau, r: float | None = None) -> XineqReport:
     """Budget inequality that makes the quadratic dense recipe keep the full
-    step-size coefficient: gamma <= 1 - C/4 at C = the method's coefficient.
+    step-size coefficient: gamma <= 1 - C/4, up to 1e-9, at C = the method's
+    coefficient r.
 
     Requires a positive SSP coefficient; gamma carries the bisection error of
     the coefficient when r is not supplied exactly.
@@ -404,7 +402,7 @@ def check_xineq(
         raise ValueError("the budget inequality needs a positive SSP coefficient")
     lhs = gamma_at(tab, r)
     rhs = 1.0 - r / 4.0
-    return XineqReport(holds=bool(lhs <= rhs + tol), lhs=lhs, rhs=rhs, r=r)
+    return XineqReport(holds=bool(lhs <= rhs + 1e-9), lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)

@@ -70,13 +70,14 @@ def family_tableau(s: int) -> ButcherTableau:
     return ButcherTableau(A=A, b=b, name=f"family-s{s}")
 
 
-def is_family_member(tab: ButcherTableau, tol: float = 1e-12) -> bool:
+def is_family_member(tab: ButcherTableau) -> bool:
+    """True iff A and b match family_tableau(tab.s) entrywise within 1e-12."""
     if tab.s < 2:
         return False
     reference = family_tableau(tab.s)
     return bool(
-        np.all(np.abs(tab.A - reference.A) <= tol)
-        and np.all(np.abs(tab.b - reference.b) <= tol)
+        np.all(np.abs(tab.A - reference.A) <= 1e-12)
+        and np.all(np.abs(tab.b - reference.b) <= 1e-12)
     )
 
 
@@ -112,15 +113,13 @@ def second_order_weights(tab: ButcherTableau) -> DenseWeights:
     return DenseWeights(coeffs)
 
 
-def barrier_first_derivative(
-    tab: ButcherTableau, weights: DenseWeights, tol: float = EXACT_TOL
-) -> bool:
-    """True iff the weight derivatives at 0 are pinned the way any order-2
-    dense output with positive combined SSP coefficient must have them:
-    1 on stage 1 and 0 elsewhere."""
+def barrier_first_derivative(tab: ButcherTableau, weights: DenseWeights) -> bool:
+    """True iff the weight derivatives at 0 are pinned, to within EXACT_TOL,
+    the way any order-2 dense output with positive combined SSP coefficient
+    must have them: 1 on stage 1 and 0 elsewhere."""
     check_stage_count(tab, weights)
     d1 = weights.coeffs[:, 1] if weights.degree >= 1 else np.zeros(weights.s)
-    return bool(abs(d1[0] - 1.0) <= tol and np.all(np.abs(d1[1:]) <= tol))
+    return bool(abs(d1[0] - 1.0) <= EXACT_TOL and np.all(np.abs(d1[1:]) <= EXACT_TOL))
 
 
 @dataclass(frozen=True)
@@ -146,16 +145,15 @@ class BarrierVerdict:
         return self.kind == "contradiction"
 
 
-def quadrature_barrier_order3(
-    c, weights: DenseWeights, tol: float = EXACT_TOL
-) -> BarrierVerdict:
+def quadrature_barrier_order3(c, weights: DenseWeights) -> BarrierVerdict:
     """Run the order-3 barrier argument on concrete abscissas and weights.
 
     The chain: weights nonnegative near 0 plus the quadrature conditions force
     b(0)=0, then sum b'(0) c = 0, then sum b''(0) c^2 = 0, which pins every
     second derivative with positive abscissa to zero; the second derivative of
     the order-2 condition then demands sum b''(0) c = 1, which is impossible.
-    The verdict reports the first link the supplied weights break.
+    The verdict reports the first link the supplied weights break; each
+    link is tested to within EXACT_TOL.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or len(c) != weights.s:
@@ -167,7 +165,7 @@ def quadrature_barrier_order3(
         raise RepeatedAbscissaeError(
             f"abscissas {i + 1} and {j + 1} coincide ({c[i]!r})"
         )
-    if np.any(c < -tol):
+    if np.any(c < -EXACT_TOL):
         j = int(np.argmin(c))
         return BarrierVerdict(
             kind="not_applicable",
@@ -194,7 +192,7 @@ def quadrature_barrier_order3(
     d0 = weights.left_values()
     d1 = weights.coeffs[:, 1] if weights.degree >= 1 else np.zeros(weights.s)
     d2 = 2.0 * weights.coeffs[:, 2] if weights.degree >= 2 else np.zeros(weights.s)
-    if np.any(np.abs(d0) > tol):
+    if np.any(np.abs(d0) > EXACT_TOL):
         j = int(np.argmax(np.abs(d0)))
         return BarrierVerdict(
             kind="contradiction",
@@ -203,7 +201,7 @@ def quadrature_barrier_order3(
             rhs=0.0,
         )
     lhs = float(d1 @ c)
-    if abs(lhs) > tol:
+    if abs(lhs) > EXACT_TOL:
         return BarrierVerdict(
             kind="contradiction",
             failed_relation="sum of c-weighted first derivatives at 0 must vanish",
@@ -211,7 +209,7 @@ def quadrature_barrier_order3(
             rhs=0.0,
         )
     lhs = float(d2 @ (c * c))
-    if abs(lhs) > tol:
+    if abs(lhs) > EXACT_TOL:
         return BarrierVerdict(
             kind="contradiction",
             failed_relation="sum of c^2-weighted second derivatives at 0 must vanish",

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .certify import DEFAULT_BISECT_TOL, MAX_STAGES, compute_certificate
+from .certify import MAX_STAGES, compute_certificate
 from .construct import family_tableau, first_order_weights, second_order_weights
 from .errors import InvalidArgumentError
 from .integrate import (
@@ -22,6 +22,9 @@ from .problems import sinode
 from .tableau import validate_tableau
 
 CSV_HEADER = "u0,t,theta,u,formula"
+FIGURE1_N_U0 = 101     # initial values, evenly spaced in [0,1]
+FIGURE1_N_THETA = 101  # thetas per step, evenly spaced in [0,1]
+FIGURE1_N_STEPS = 7
 
 
 @dataclass(frozen=True)
@@ -49,38 +52,28 @@ class Figure1Summary:
         }
 
 
-def run_figure1(
-    h: float = 1.6,
-    out_dir: str | None = None,
-    n_u0: int = 101,
-    n_theta: int = 101,
-    n_steps: int = 7,
-    containment_tol: float = 1e-12,
-) -> Figure1Summary:
-    """Integrate the three-stage method over a grid of initial values in [0,1]
-    and evaluate both dense formulas on a theta grid.
+def run_figure1(h: float = 1.6, out_dir: str | None = None) -> Figure1Summary:
+    """Integrate the three-stage method over FIGURE1_N_U0 initial values in
+    [0,1] for FIGURE1_N_STEPS steps and evaluate both dense formulas at
+    FIGURE1_N_THETA thetas per step.
 
-    The SSP formula must keep every dense value inside [0,1] up to
-    containment_tol for h up to twice the forward-Euler bound; the second
-    formula is second-order accurate but not SSP and is expected to escape.
-    Writes ssp.csv and nonssp.csv (columns u0,t,theta,u,formula) when out_dir
-    is given; output is deterministic, so reruns are byte-identical.
-    n_steps must be at least 1.
+    The SSP formula must keep every dense value inside [0,1] up to 1e-12 for
+    h up to twice the forward-Euler bound; the second formula is second-order
+    accurate but not SSP and is expected to escape.  Writes ssp.csv and
+    nonssp.csv (columns u0,t,theta,u,formula) when out_dir is given; output
+    is deterministic, so reruns are byte-identical.
     """
-    if n_steps < 1:
-        raise InvalidArgumentError(f"figure1 needs at least one step, got {n_steps}")
     entry = registry.get("numexample-322")
     weight_sets = {
         "ssp": entry.dense_weights,
         "nonssp": registry.nonssp_weights_322(),
     }
-    u0s = np.linspace(0.0, 1.0, n_u0)
-    thetas = np.linspace(0.0, 1.0, n_theta)
-    problem = sinode(dimension=n_u0)
-    traj = integrate_fixed(entry.tableau, problem, u0s, 0.0, h, n_steps)
+    u0s = np.linspace(0.0, 1.0, FIGURE1_N_U0)
+    thetas = np.linspace(0.0, 1.0, FIGURE1_N_THETA)
+    traj = integrate_fixed(entry.tableau, sinode(), u0s, 0.0, h, FIGURE1_N_STEPS)
     # dense values indexed (step, theta, u0)
     grids = {
-        formula: np.stack([dense_eval_grid(traj, weights, n, thetas) for n in range(n_steps)])
+        formula: np.stack([dense_eval_grid(traj, weights, n, thetas) for n in range(traj.n_steps)])
         for formula, weights in weight_sets.items()
     }
 
@@ -105,13 +98,13 @@ def run_figure1(
     n, it, iu = np.unravel_index(np.argmin(nonssp), nonssp.shape)
     return Figure1Summary(
         h=h,
-        n_steps=n_steps,
+        n_steps=FIGURE1_N_STEPS,
         ssp_min=ssp_min,
         ssp_max=ssp_max,
         nonssp_min=float(nonssp.min()),
         nonssp_max=float(nonssp.max()),
         nonssp_argmin=(float(u0s[iu]), float((n + thetas[it]) * h)),
-        ssp_contained=ssp_min >= -containment_tol and ssp_max <= 1.0 + containment_tol,
+        ssp_contained=ssp_min >= -1e-12 and ssp_max <= 1.0 + 1e-12,
     )
 
 
@@ -133,9 +126,7 @@ class SweepRow:
         }
 
 
-def run_certification_sweep(
-    s_max: int, tol: float = DEFAULT_BISECT_TOL
-) -> list[SweepRow]:
+def run_certification_sweep(s_max: int) -> list[SweepRow]:
     """Certify the s-stage family members for s = 2..s_max: method coefficient,
     budget-inequality verdict, and the dense coefficient of the quadratic
     recipe.  The budget inequality holds through s = 4 and fails from s = 5 on,
@@ -146,7 +137,7 @@ def run_certification_sweep(
     rows = []
     for s in range(2, s_max + 1):
         tab = family_tableau(s)
-        cert = compute_certificate(tab, second_order_weights(tab), tol)
+        cert = compute_certificate(tab, second_order_weights(tab))
         rows.append(
             SweepRow(
                 s=s,
@@ -164,11 +155,9 @@ STUDY_U0 = 0.5
 STUDY_T_END = 2.0
 
 
-def run_convergence_tables(
-    hs=STUDY_HS, u0: float = STUDY_U0, t_end: float = STUDY_T_END
-) -> list[tuple[str, ConvergenceStudy]]:
+def run_convergence_tables() -> list[tuple[str, ConvergenceStudy]]:
     """(label, study) for three standard studies on the oscillating logistic
-    problem:
+    problem from u0 = STUDY_U0 to STUDY_T_END at the steps STUDY_HS:
 
     - three-stage second-order method with its quadratic dense weights
       (dense slope ~2),
@@ -185,6 +174,6 @@ def run_convergence_tables(
         ("ssp332-steps", entry332.tableau, None),
     ]
     return [
-        (label, convergence_study(tab, weights, problem, u0, t_end, hs))
+        (label, convergence_study(tab, weights, problem, STUDY_U0, STUDY_T_END, STUDY_HS))
         for label, tab, weights in cases
     ]

@@ -29,16 +29,12 @@ from .tableau import ButcherTableau, DenseWeights
 class Problem:
     """An initial-value problem u'(t) = rhs(t, u).
 
-    ``exact``, when given, maps (t, u0) to the true solution and enables
-    convergence studies.  ``h_fe`` records the forward-Euler step bound for
-    whatever property the problem is meant to preserve.
+    The state's length is that of u0.  ``exact``, when given, maps (t, u0) to
+    the true solution and enables convergence studies.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    dimension: int
     exact: Callable[[float, np.ndarray], np.ndarray] | None = None
-    name: str = ""
-    h_fe: float | None = None
 
 
 @dataclass(frozen=True)
@@ -176,14 +172,13 @@ def convergence_study(
     u0,
     t_end: float,
     hs,
-    thetas=(0.25, 0.5, 0.75),
-    t0: float = 0.0,
 ) -> ConvergenceStudy:
     """Observed convergence orders against the problem's exact solution.
 
-    For each step size the max error over step points and, separately, over
-    the off-step probe times t_n + theta*h is recorded; the reported slopes
-    are least-squares fits of log error against log h.
+    For each step size the max error over step points from t = 0 and,
+    separately, over the off-step probe times t_n + theta*h, theta = 1/4,
+    1/2, 3/4, is recorded; the reported slopes are least-squares fits of log
+    error against log h.
     """
     if problem.exact is None:
         raise ExactSolutionMissingError(
@@ -191,11 +186,12 @@ def convergence_study(
         )
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     hs = [float(h) for h in hs]
+    thetas = (0.25, 0.5, 0.75)
     step_errors = []
     dense_errors = [] if weights is not None else None
     for h in hs:
-        n_steps = int(round((t_end - t0) / h))
-        traj = integrate_fixed(tab, problem, u0, t0, h, n_steps)
+        n_steps = int(round(t_end / h))
+        traj = integrate_fixed(tab, problem, u0, 0.0, h, n_steps)
         times = traj.times()
         worst = 0.0
         for n, t in enumerate(times):

@@ -8,15 +8,15 @@ from .errors import UnknownNameError
 from .integrate import Problem
 
 
-def sinode(dimension: int = 1) -> Problem:
+def sinode() -> Problem:
     """Scalar logistic-type ODE with oscillating factor:
 
         u'(t) = sin(10 t) u (1 - u),    u(0) = u0.
 
     The exact solution u0 / (u0 + (1-u0) exp((cos(10t)-1)/10)) stays in [0,1]
     for u0 in [0,1], and forward Euler preserves that interval for any step
-    size up to h_fe = 1.  With dimension > 1 the equation acts componentwise,
-    which integrates a whole grid of initial conditions in one trajectory.
+    size up to 1.  The equation acts componentwise, so a vector u0
+    integrates a whole grid of initial conditions in one trajectory.
     """
 
     def rhs(t, u):
@@ -26,33 +26,31 @@ def sinode(dimension: int = 1) -> Problem:
         u0 = np.asarray(u0, dtype=float)
         return u0 / (u0 + (1.0 - u0) * np.exp((np.cos(10.0 * t) - 1.0) / 10.0))
 
-    return Problem(rhs=rhs, dimension=dimension, exact=exact, name="sinode", h_fe=1.0)
+    return Problem(rhs=rhs, exact=exact)
 
 
-def linear(lam: float = -1.0, dimension: int = 1) -> Problem:
-    """Linear test equation u' = lam * u with exact solution u0 exp(lam t)."""
-
-    def rhs(t, u):
-        return lam * u
-
-    def exact(t, u0):
-        return np.asarray(u0, dtype=float) * np.exp(lam * t)
-
-    return Problem(rhs=rhs, dimension=dimension, exact=exact, name="linear")
-
-
-def quadrature(g=np.cos, antiderivative=np.sin, dimension: int = 1) -> Problem:
-    """Pure quadrature problem u' = g(t); the state does not enter the rhs."""
+def linear() -> Problem:
+    """Linear test equation u' = -u with exact solution u0 exp(-t)."""
 
     def rhs(t, u):
-        return np.full_like(np.asarray(u, dtype=float), float(g(t)))
+        return -u
 
     def exact(t, u0):
-        return np.asarray(u0, dtype=float) + (
-            float(antiderivative(t)) - float(antiderivative(0.0))
-        )
+        return np.asarray(u0, dtype=float) * np.exp(-t)
 
-    return Problem(rhs=rhs, dimension=dimension, exact=exact, name="quadrature")
+    return Problem(rhs=rhs, exact=exact)
+
+
+def quadrature() -> Problem:
+    """Pure quadrature problem u' = cos(t); the state does not enter the rhs."""
+
+    def rhs(t, u):
+        return np.full_like(np.asarray(u, dtype=float), float(np.cos(t)))
+
+    def exact(t, u0):
+        return np.asarray(u0, dtype=float) + float(np.sin(t))
+
+    return Problem(rhs=rhs, exact=exact)
 
 
 BUILTIN_PROBLEMS = {
@@ -62,11 +60,11 @@ BUILTIN_PROBLEMS = {
 }
 
 
-def get_problem(name: str, dimension: int = 1) -> Problem:
+def get_problem(name: str) -> Problem:
     try:
         factory = BUILTIN_PROBLEMS[name]
     except KeyError:
         raise UnknownNameError(
             f"unknown problem {name!r}; available: {sorted(BUILTIN_PROBLEMS)}"
         ) from None
-    return factory(dimension=dimension)
+    return factory()

@@ -112,16 +112,15 @@ def shu_osher_step_equivalence(
     u_n,
     h: float,
     thetas,
-    t_n: float = 0.0,
 ) -> float:
     """Max deviation between the weight-form and Shu-Osher-form dense values
-    over one step, evaluated on a theta grid.  The two are algebraically
-    identical, so the deviation is pure roundoff."""
+    over one step from t = 0, evaluated on a theta grid.  The two are
+    algebraically identical, so the deviation is pure roundoff."""
     form = to_shu_osher(tab, weights, C)
     u_n = np.atleast_1d(np.asarray(u_n, dtype=float))
     thetas = np.asarray(thetas, dtype=float)
-    u_next, stage_values, stage_derivs = step(tab, problem, t_n, u_n, h)
-    traj = Trajectory(t0=t_n, h=h, states=[u_n, u_next], stage_derivs=[stage_derivs])
+    u_next, stage_values, stage_derivs = step(tab, problem, 0.0, u_n, h)
+    traj = Trajectory(t0=0.0, h=h, states=[u_n, u_next], stage_derivs=[stage_derivs])
     worst = 0.0
     for theta, direct in zip(thetas, dense_eval_grid(traj, weights, 0, thetas)):
         converted = form.dense_value(u_n, stage_values, stage_derivs, h, theta)

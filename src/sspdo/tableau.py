@@ -178,7 +178,7 @@ class ResidualReport:
 
     Scalar residuals (method conditions) are stored as constant polynomials.
     ``order`` is the largest p for which every condition through p is
-    satisfied to within ``tol``.
+    satisfied to within EXACT_TOL.
     """
 
     labels: tuple[str, ...]
@@ -186,7 +186,6 @@ class ResidualReport:
     residuals: tuple[np.ndarray, ...]
     max_norms: tuple[float, ...]
     order: int
-    tol: float
 
     def residual(self, label: str) -> np.ndarray:
         return self.residuals[self.labels.index(label)]
@@ -201,7 +200,7 @@ class ResidualReport:
         return f"ResidualReport(order={self.order}, {items})"
 
 
-def _build_report(entries, tol) -> ResidualReport:
+def _build_report(entries) -> ResidualReport:
     labels, levels, residuals, norms = [], [], [], []
     for label, level, res in entries:
         res = poly.as_poly(res)
@@ -211,7 +210,7 @@ def _build_report(entries, tol) -> ResidualReport:
         norms.append(poly.max_abs_on_unit(res)[0] if len(res) > 1 else abs(res[0]))
     order = 0
     for p in (1, 2, 3):
-        if all(n <= tol for lvl, n in zip(levels, norms) if lvl <= p):
+        if all(n <= EXACT_TOL for lvl, n in zip(levels, norms) if lvl <= p):
             order = p
         else:
             break
@@ -221,11 +220,10 @@ def _build_report(entries, tol) -> ResidualReport:
         residuals=tuple(residuals),
         max_norms=tuple(norms),
         order=order,
-        tol=tol,
     )
 
 
-def method_order_residuals(tab: ButcherTableau, tol: float = EXACT_TOL) -> ResidualReport:
+def method_order_residuals(tab: ButcherTableau) -> ResidualReport:
     """Residuals of the classical order conditions through order three."""
     b, c, A = tab.b, tab.c, tab.A
     entries = [
@@ -234,7 +232,7 @@ def method_order_residuals(tab: ButcherTableau, tol: float = EXACT_TOL) -> Resid
         ("sum_bc2", 3, [b @ (c * c) - 1.0 / 3.0]),
         ("sum_b_c2half_minus_Ac", 3, [b @ (c * c / 2.0 - A @ c)]),
     ]
-    return _build_report(entries, tol)
+    return _build_report(entries)
 
 
 def dense_order_conditions(tab: ButcherTableau) -> tuple:
@@ -250,9 +248,7 @@ def dense_order_conditions(tab: ButcherTableau) -> tuple:
     )
 
 
-def dense_order_residuals(
-    tab: ButcherTableau, weights: DenseWeights, tol: float = EXACT_TOL
-) -> ResidualReport:
+def dense_order_residuals(tab: ButcherTableau, weights: DenseWeights) -> ResidualReport:
     """Residual polynomials of the dense order conditions through order three.
 
     Each residual is computed exactly in the monomial basis; the reported
@@ -264,27 +260,24 @@ def dense_order_residuals(
     for label, level, factors, target in dense_order_conditions(tab):
         residual = poly.pad(factors @ weights.coeffs, width) - poly.pad(target, width)
         entries.append((label, level, residual))
-    return _build_report(entries, tol)
+    return _build_report(entries)
 
 
 @dataclass(frozen=True)
 class EndpointFlags:
     left_zero: bool
     right_matches_b: bool
-    max_left: float
     max_right_deviation: float
 
 
-def endpoint_check(
-    tab: ButcherTableau, weights: DenseWeights, tol: float = EXACT_TOL
-) -> EndpointFlags:
-    """Continuity flags: all weights vanish at theta=0; weights at theta=1 equal b."""
+def endpoint_check(tab: ButcherTableau, weights: DenseWeights) -> EndpointFlags:
+    """Continuity flags: all weights vanish at theta=0; weights at theta=1 equal
+    b; both to within EXACT_TOL."""
     check_stage_count(tab, weights)
     left = np.abs(weights.left_values())
     right = np.abs(weights.evaluate(1.0) - tab.b)
     return EndpointFlags(
-        left_zero=bool(np.all(left <= tol)),
-        right_matches_b=bool(np.all(right <= tol)),
-        max_left=float(left.max()),
+        left_zero=bool(np.all(left <= EXACT_TOL)),
+        right_matches_b=bool(np.all(right <= EXACT_TOL)),
         max_right_deviation=float(right.max()),
     )

@@ -24,7 +24,7 @@ from sspdo.tableau import ButcherTableau, DenseWeights, validate_tableau
 
 def test_step_zero_rhs_identity():
     tab = registry.get("ssp322").tableau
-    problem = Problem(rhs=lambda t, u: np.zeros_like(u), dimension=1)
+    problem = Problem(rhs=lambda t, u: np.zeros_like(u))
     u1, ys, fs = step(tab, problem, 0.0, [0.4], 1.0)
     assert np.array_equal(u1, [0.4])
     assert np.all(ys == 0.4) and np.all(fs == 0.0)
@@ -32,7 +32,7 @@ def test_step_zero_rhs_identity():
 
 def test_euler_step_stays_in_unit_interval():
     tab = validate_tableau([[0]], [1])
-    problem = sinode(dimension=51)
+    problem = sinode()
     u0 = np.linspace(0, 1, 51)
     for t in (0.0, 0.3, 1.1):
         u1, _, _ = step(tab, problem, t, u0, 1.0)
@@ -41,7 +41,7 @@ def test_euler_step_stays_in_unit_interval():
 
 def test_three_stage_step_at_double_step_size():
     entry = registry.get("numexample-322")
-    problem = sinode(dimension=51)
+    problem = sinode()
     u0 = np.linspace(0, 1, 51)
     u1, _, _ = step(entry.tableau, problem, 0.0, u0, 2.0)
     assert np.all(u1 >= -1e-15) and np.all(u1 <= 1.0 + 1e-15)
@@ -54,7 +54,7 @@ def test_step_rejects_implicit():
 
 
 def test_nonfinite_state_carries_step_index():
-    blowup = Problem(rhs=lambda t, u: u**3, dimension=1)
+    blowup = Problem(rhs=lambda t, u: u**3)
     with np.errstate(over="ignore"), pytest.raises(NonfiniteStateError) as info:
         integrate_fixed(registry.get("ssp222").tableau, blowup, [1e200], 0.0, 10.0, 5)
     assert info.value.step_index is not None
@@ -64,9 +64,9 @@ def test_linear_problem_matches_stability_function():
     # for the two-stage second-order method, one step multiplies the state by
     # R(z) = 1 + z + z^2/2
     tab = registry.get("ssp222").tableau
-    lam, h, n = -1.0, 0.1, 10
-    traj = integrate_fixed(tab, linear(lam), [1.0], 0.0, h, n)
-    z = lam * h
+    h, n = 0.1, 10
+    traj = integrate_fixed(tab, linear(), [1.0], 0.0, h, n)  # u' = -u
+    z = -h
     expected = (1.0 + z + z * z / 2.0) ** n
     assert traj.states[-1][0] == pytest.approx(expected, abs=1e-12)
 
@@ -130,7 +130,7 @@ def test_quadrature_reduction():
     # u0 + h * sum w_j(theta) g(t_n + c_j h) exactly
     entry = registry.get("ssp322")
     tab, weights = entry.tableau, entry.dense_weights
-    problem = quadrature(np.cos, np.sin)
+    problem = quadrature()  # u' = cos(t)
     h = 0.3
     traj = integrate_fixed(tab, problem, [0.2], 0.0, h, 4)
     rng = np.random.default_rng(3)
@@ -148,8 +148,8 @@ def test_quadrature_reduction():
 def test_affine_covariance_autonomous():
     # scaling an autonomous rhs by a while dividing h by a leaves states alone
     tab = registry.get("ssp322").tableau
-    base = Problem(rhs=lambda t, u: -u, dimension=1)
-    scaled = Problem(rhs=lambda t, u: -2.0 * u, dimension=1)
+    base = Problem(rhs=lambda t, u: -u)
+    scaled = Problem(rhs=lambda t, u: -2.0 * u)
     t1 = integrate_fixed(tab, base, [1.0], 0.0, 0.2, 8)
     t2 = integrate_fixed(tab, scaled, [1.0], 0.0, 0.1, 8)
     assert np.max(np.abs(t1.states - t2.states)) <= 1e-13
@@ -161,7 +161,7 @@ def test_containment_invariance(h):
     # [0,1] for h up to twice the Euler bound
     entry = registry.get("numexample-322")
     n_u0 = 25
-    problem = sinode(dimension=n_u0)
+    problem = sinode()
     u0 = np.linspace(0, 1, n_u0)
     traj = integrate_fixed(entry.tableau, problem, u0, 0.0, h, 7)
     thetas = np.linspace(0, 1, 25)
@@ -174,7 +174,7 @@ def test_containment_invariance(h):
 def test_nonssp_weights_escape():
     entry = registry.get("numexample-322")
     n_u0 = 25
-    problem = sinode(dimension=n_u0)
+    problem = sinode()
     u0 = np.linspace(0, 1, n_u0)
     traj = integrate_fixed(entry.tableau, problem, u0, 0.0, 1.6, 7)
     thetas = np.linspace(0, 1, 25)
@@ -186,7 +186,7 @@ def test_nonssp_weights_escape():
 
 
 def test_convergence_study_needs_exact():
-    problem = Problem(rhs=lambda t, u: -u, dimension=1)
+    problem = Problem(rhs=lambda t, u: -u)
     with pytest.raises(ExactSolutionMissingError):
         convergence_study(
             registry.get("ssp222").tableau, None, problem, 1.0, 1.0, [0.1, 0.05]

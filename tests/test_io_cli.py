@@ -11,8 +11,13 @@ import pytest
 import sspdo
 from sspdo import cli, registry
 from sspdo.cli import main
-from sspdo.errors import InvalidArgumentError, ParseError
-from sspdo.experiments import run_figure1
+from sspdo.errors import ParseError
+from sspdo.experiments import (
+    FIGURE1_N_STEPS,
+    FIGURE1_N_THETA,
+    FIGURE1_N_U0,
+    run_figure1,
+)
 from sspdo.integrate import dense_eval_grid, integrate_fixed
 from sspdo.problems import sinode
 from sspdo.tableau_io import (
@@ -614,13 +619,14 @@ def test_figure1_record_and_determinism(tmp_path, capsys):
 
 
 def test_figure1_csv_matches_per_value_repr(tmp_path):
-    # reference text: every field through repr(float(x)), one at a time
-    h, n_u0, n_theta, n_steps = 1.6, 3, 4, 2
-    run_figure1(h=h, out_dir=str(tmp_path), n_u0=n_u0, n_theta=n_theta, n_steps=n_steps)
+    # reference text: every field through repr(float(x)), one at a time, on
+    # the full 101 x 101 x 7 grid
+    h, n_steps = 1.6, FIGURE1_N_STEPS
+    run_figure1(h=h, out_dir=str(tmp_path))
     entry = registry.get("numexample-322")
-    u0s = np.linspace(0.0, 1.0, n_u0)
-    thetas = np.linspace(0.0, 1.0, n_theta)
-    traj = integrate_fixed(entry.tableau, sinode(dimension=n_u0), u0s, 0.0, h, n_steps)
+    u0s = np.linspace(0.0, 1.0, FIGURE1_N_U0)
+    thetas = np.linspace(0.0, 1.0, FIGURE1_N_THETA)
+    traj = integrate_fixed(entry.tableau, sinode(), u0s, 0.0, h, n_steps)
     weight_sets = {"ssp": entry.dense_weights, "nonssp": registry.nonssp_weights_322()}
     for formula, weights in weight_sets.items():
         lines = ["u0,t,theta,u,formula\n"]
@@ -637,11 +643,6 @@ def test_figure1_csv_matches_per_value_repr(tmp_path):
 
 def test_figure1_rejects_zero_step(capsys):
     assert main(["experiment", "figure1", "--h", "0"]) == 2
-
-
-def test_figure1_rejects_zero_steps():
-    with pytest.raises(InvalidArgumentError, match="at least one step"):
-        run_figure1(n_steps=0)
 
 
 def test_sweep_record(capsys):

@@ -63,7 +63,6 @@ def test_sinode_exact_solution_invariants():
     for t in np.linspace(0.0, 12.0, 60):
         values = problem.exact(t, u0)
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
-    assert problem.h_fe == 1.0
 
 
 def _dense_coefficient_by_sampling(tab, weights, tol=1e-8):

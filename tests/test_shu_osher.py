@@ -93,7 +93,7 @@ def test_step_equivalence_zero_rhs():
         entry.tableau,
         entry.dense_weights,
         2.0,
-        Problem(rhs=zero, dimension=1),
+        Problem(rhs=zero),
         0.4,
         1.0,
         np.linspace(0, 1, 5),
@@ -122,7 +122,7 @@ def test_step_equivalence_linear():
         entry.tableau,
         entry.dense_weights,
         1.0,
-        linear(-1.0),
+        linear(),
         1.0,
         0.3,
         np.linspace(0, 1, 11),
