@@ -61,6 +61,7 @@ def _lapack():
     return lapack
 
 
+@np.errstate(over="ignore")
 def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
     """Inverse of I + r*A from LAPACK's inversion routines.
 
@@ -72,7 +73,9 @@ def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
     these sizes, whereas a solve against the identity (dtrtrs, lu_solve)
     hands its s right-hand sides to OpenBLAS's threaded trsm, whose worker
     thread then spins between probes.  LAPACK is imported at the first call
-    (_lapack), not with the module, so the CLI starts without scipy.
+    (_lapack), not with the module, so the CLI starts without scipy.  An
+    entry of r*A that overflows fails the finiteness check without a numpy
+    warning.
     """
     lapack = _lapack()
     B = np.eye(tab.s) + r * tab.A
@@ -239,11 +242,13 @@ def _condition_rows(M: np.ndarray, W: np.ndarray, r: float) -> np.ndarray:
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> FeasibilityCheck:
     """Stage conditions plus Bernstein-certified nonnegativity on [0,1] of
     the condition polynomials of W, failing as label_nonneg or label_bound.
     A singular I + r*A is infeasible (the conditions need the inverse) and
-    is reported distinctly."""
+    is reported distinctly.  Arithmetic that overflows leaves a non-finite
+    entry, which makes the probe inconclusive, so numpy does not warn."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     try:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .certify import MAX_STAGES
 from .construct import family_tableau, second_order_weights
-from .errors import UnknownNameError
+from .errors import InvalidArgumentError, UnknownNameError
 from .tableau import ButcherTableau, DenseWeights, validate_tableau
 
 
@@ -57,7 +58,13 @@ def get(key: str) -> MethodRegistryEntry:
         return _BUILTIN[key]
     match = _FAMILY_KEY.match(key)
     if match:
-        s = int(match.group(1))
+        digits = match.group(1).lstrip("0") or "0"
+        try:
+            s = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise InvalidArgumentError(
+                f"the family is built up to s = {MAX_STAGES}, got an s of {len(digits)} digits"
+            ) from None
         tab = family_tableau(s)
         if s <= 4:
             return MethodRegistryEntry(

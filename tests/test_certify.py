@@ -172,6 +172,7 @@ def test_bisection_radii_at_cap():
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_stage_entry_is_inconclusive():
     # I + rA inverts to entries near 1e300 whose products with A overflow:
     # the infinite stage entry is neither certified nor a witness
@@ -179,8 +180,7 @@ def test_nonfinite_stage_entry_is_inconclusive():
         A=np.array([[0.0, 0.0, 0.0], [1e160, 0.0, 0.0], [0.0, 1e160, 0.0]]),
         b=np.full(3, 1.0 / 3.0),
     )
-    with np.errstate(over="ignore"):
-        check = monotonicity_feasible_method(tab, 1e-10)
+    check = monotonicity_feasible_method(tab, 1e-10)
     assert check.inconclusive and not check.feasible
     assert all(np.isfinite(v.value) for v in check.violations)
     assert "stage_nonneg" not in {v.condition for v in check.violations}
@@ -560,6 +560,7 @@ def test_implicit_resolvent_is_the_inverse(A, r):
     assert np.max(np.abs(resolvent(tab, r) - expected)) <= 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "A, r",
     [([[0.0, 1.0], [1.0, 0.0]], 1.0), ([[1e308, 0.0], [0.0, 1e308]], 10.0)],
@@ -569,7 +570,7 @@ def test_exactly_singular_resolvent_raises(A, r):
     # I + A = [[1, 1], [1, 1]] has a zero pivot after one elimination step;
     # I + 10*A overflows to infinity on its diagonal
     tab = ButcherTableau(A=np.array(A), b=np.array([0.5, 0.5]))
-    with np.errstate(over="ignore"), pytest.raises(SingularMatrixError) as info:
+    with pytest.raises(SingularMatrixError) as info:
         resolvent(tab, r)
     assert str(info.value) == f"I + {r}*A is singular"
 

@@ -19,7 +19,7 @@ from sspdo.experiments import (
     run_figure1,
 )
 from sspdo.integrate import dense_eval_grid, integrate_fixed
-from sspdo.problems import sinode
+from sspdo.problems import get_problem, sinode
 from sspdo.tableau_io import (
     dumps_tableau,
     load_tableau_file,
@@ -191,6 +191,24 @@ def test_integrate_dense_one_needs_no_weights(capsys):
     assert len(rows.splitlines()) == 1 + 3
 
 
+@pytest.mark.parametrize("name", ["linear", "quadrature"])
+def test_integrate_step_points_match_exact_solution(name, capsys):
+    # the third-order method's step points over [0, 1] miss the exact solution
+    # by at most h^3/100, and halving h divides the miss by at least 2^2.9
+    exact = get_problem(name).exact
+    errors = []
+    for h, steps in ((0.1, "10"), (0.05, "20")):
+        argv = ["integrate", "--method", "ssp332", "--problem", name, "--u0", "0.3",
+                "--h", repr(h), "--steps", steps, "--dense", "4"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        points = [(float(t), float(u)) for t, _, u, is_step in rows if is_step == "1"]
+        assert len(points) == int(steps) + 1
+        errors.append(max(abs(u - float(exact(t, 0.3))) for t, u in points))
+        assert errors[-1] <= h**3 / 100, (h, errors[-1])
+    assert np.log2(errors[0] / errors[1]) >= 2.9, errors
+
+
 @pytest.mark.parametrize("key", registry.keys())
 def test_integrate_dense_values_are_dense_eval_grid(key, capsys):
     # the CLI prints the one dense evaluator's values, to the last bit
@@ -323,9 +341,12 @@ def test_search_bad_argument_exit_code(argv, capsys):
         ["experiment", "sweep", "--smax", "100000000"],
         ["certify", "--method", "family-s100000000"],
         ["search", "--stages", "1001", "--order", "2", "--degree", "2", "--r", "1"],
+        # more digits than int() converts
+        ["certify", "--method", "family-s" + "9" * 5000],
     ],
     ids=["sweep-smax-one", "negative-steps", "negative-step-size", "negative-dense",
-         "sweep-above-stage-bound", "family-above-stage-bound", "stages-above-bound"],
+         "sweep-above-stage-bound", "family-above-stage-bound", "stages-above-bound",
+         "family-key-too-long"],
 )
 def test_bad_argument_exit_code(argv, capsys):
     assert main(argv) == 2
@@ -583,6 +604,7 @@ def test_singular_witness_record_is_strict_json(tmp_path, capsys):
     assert "\n    singular\n" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_stage_record_is_strict_json(tmp_path, capsys):
     # A (I + rA)^{-1} overflows: that entry makes the probe inconclusive
     # instead of a -Infinity witness
@@ -590,8 +612,7 @@ def test_overflowing_stage_record_is_strict_json(tmp_path, capsys):
     path.write_text(json.dumps(
         {"A": [[0, 0, 0], [1e160, 0, 0], [0, 1e160, 0]], "b": ["1/3", "1/3", "1/3"]}
     ))
-    with np.errstate(over="ignore"):
-        assert main(["certify", "--tableau", str(path), "--format", "record"]) == 0
+    assert main(["certify", "--tableau", str(path), "--format", "record"]) == 0
     record = _strict_json(capsys.readouterr().out)
     assert record["r_method"] == 0.0
     assert record["conservative"] is True
