@@ -14,6 +14,9 @@ subdivides only the rows with a negative coefficient: never sampling alone,
 which can miss sign dips near theta=0, where the weight polynomials vanish.
 A failed row, weight_* (method) or dense_* (dense), is witnessed by the value
 of its slack-folded polynomial at a theta (theta=0 for the constant b rows).
+A probe walks its conditions once, stage conditions first: its verdict is
+read up to the first witness, and the rest of the walk only when its
+witnesses are asked for, which bisection does at one radius.
 
 Sign tolerances are asymmetric: >=0 checks allow -1e-12 and <=1 checks allow
 1+1e-12, absorbing the ~1e-16-per-operation perturbation of rational tableaux
@@ -47,7 +50,7 @@ WITNESS_TOL = 1e-15
 MAX_DEPTH = 40
 MAX_NODES = 200_000
 MAX_DEGREE = 64         # highest polynomial degree the certifier converts
-MAX_STAGES = 1000       # largest family member built: certify takes ~8 s there
+MAX_STAGES = 1000       # largest family member built: certify takes ~5 s there
 
 
 @functools.cache
@@ -101,39 +104,6 @@ class Violation:
     index: tuple | None
     value: float | None
     theta: float | None = None
-
-
-@dataclass(frozen=True)
-class FeasibilityCheck:
-    feasible: bool
-    violations: tuple[Violation, ...]
-    singular: bool = False
-    inconclusive: bool = False
-
-
-def _stage_conditions(
-    tab: ButcherTableau, r: float, M: np.ndarray
-) -> tuple[list[Violation], bool]:
-    """Violations of A M >= 0 and r A M e <= 1, and whether an entry or a
-    budget is non-finite: it is neither certified nor a witness, so it makes
-    the probe inconclusive, as a non-finite Bernstein cell does."""
-    AM = tab.A @ M
-    rows = r * (AM @ np.ones(tab.s))
-    # a non-finite entry leaves its row's budget non-finite too
-    inconclusive = not np.isfinite(rows).all()
-    bad = AM < -GE_TOL
-    over = rows > 1.0 + LE_TOL
-    if inconclusive:
-        bad &= np.isfinite(AM)
-        over &= np.isfinite(rows)
-    bad_rows, bad_cols = np.nonzero(bad)
-    violations = [
-        Violation("stage_nonneg", (i + 1, j + 1), value)
-        for i, j, value in zip(bad_rows.tolist(), bad_cols.tolist(), AM[bad].tolist())
-    ]
-    for i in np.nonzero(over)[0]:
-        violations.append(Violation("stage_bound", (int(i) + 1,), float(rows[i])))
-    return violations, inconclusive
 
 
 class CertStatus(Enum):
@@ -242,24 +212,44 @@ def _condition_rows(M: np.ndarray, W: np.ndarray, r: float) -> np.ndarray:
     return rows
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> FeasibilityCheck:
-    """Stage conditions plus Bernstein-certified nonnegativity on [0,1] of
-    the condition polynomials of W, failing as label_nonneg or label_bound.
-    A singular I + r*A is infeasible (the conditions need the inverse) and
-    is reported distinctly.  Arithmetic that overflows leaves a non-finite
-    entry, which makes the probe inconclusive, so numpy does not warn."""
+def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
+    """The failed conditions at r, lazily and in report order.
+
+    A witnessed failure is yielded as the fields of its Violation: a singular
+    I + r*A (infeasible, because the conditions need the inverse), then the
+    entries of A M < 0 and the budgets r A M e > 1 (stage_*), then the
+    condition polynomials of W that the Bernstein certifier refutes on [0,1]
+    (label_nonneg, label_bound).  None marks a stage entry or budget that is
+    non-finite, or a row the certifier leaves undecided: neither certified nor
+    a witness, it makes the probe inconclusive.  Nothing yielded means
+    feasible.  The condition rows are computed only when the reader asks for
+    more than the stage conditions.  Arithmetic that overflows leaves a
+    non-finite entry; readers run the walk under np.errstate, so numpy does
+    not warn.
+    """
     if r < 0:
         raise ValueError("r must be nonnegative")
     try:
         M = resolvent(tab, r)
     except SingularMatrixError:
-        return FeasibilityCheck(
-            feasible=False,
-            violations=(Violation("singular", None, None),),
-            singular=True,
-        )
-    violations, inconclusive = _stage_conditions(tab, r, M)
+        yield ("singular", None, None, None)
+        return
+    AM = tab.A @ M
+    budgets = r * (AM @ np.ones(tab.s))
+    # a non-finite entry leaves its row's budget non-finite too
+    inconclusive = not np.isfinite(budgets).all()
+    bad = AM < -GE_TOL
+    over = budgets > 1.0 + LE_TOL
+    if inconclusive:
+        bad &= np.isfinite(AM)
+        over &= np.isfinite(budgets)
+    bad_rows, bad_cols = np.nonzero(bad)
+    for i, j, value in zip(bad_rows.tolist(), bad_cols.tolist(), AM[bad].tolist()):
+        yield ("stage_nonneg", (i + 1, j + 1), value, None)
+    for i in np.flatnonzero(over).tolist():
+        yield ("stage_bound", (i + 1,), float(budgets[i]), None)
+    if inconclusive:
+        yield None
     rows = _condition_rows(M, W, r)
     # Same sign slack as the stage checks: >=0 allows -GE_TOL and <=1 allows
     # 1+LE_TOL, folded into the constant coefficient before certification.
@@ -274,16 +264,68 @@ def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> Feasibil
                 condition, index = f"{label}_nonneg", (j + 1,)
             else:
                 condition, index = f"{label}_bound", None
-            violations.append(
-                Violation(condition, index, report.witness_value, theta=report.witness_theta)
-            )
+            yield (condition, index, report.witness_value, report.witness_theta)
         elif report.certified is CertStatus.INCONCLUSIVE:
-            inconclusive = True
-    return FeasibilityCheck(
-        feasible=not violations and not inconclusive,
-        violations=tuple(violations),
-        inconclusive=inconclusive,
-    )
+            yield None
+
+
+class FeasibilityCheck:
+    """The verdict of one probe, read from its failures (_failures).
+
+    feasible and witnessed are read on construction, up to the first witness
+    only.  explain() reads the rest, once; violations, singular and
+    inconclusive call it.  Bisection explains only its first infeasible
+    radius, so every other probe builds no Violation and certifies no
+    condition row past its first witness.
+    """
+
+    def __init__(self, failures):
+        walk = iter(failures)
+        read = []
+        for failure in walk:
+            read.append(failure)
+            if failure is not None:
+                break
+        self.feasible = not read
+        # infeasible without a witness rests on inconclusive entries only
+        self.witnessed = bool(read) and read[-1] is not None
+        self._read, self._walk = read, walk
+
+    def explain(self) -> None:
+        """Read the failures past the first witness, once.  Until then the
+        walk holds the probe's resolvent and stage arrays."""
+        if self._walk is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._read.extend(self._walk)
+            self._walk = None
+
+    @functools.cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        self.explain()
+        return tuple(Violation(*failure) for failure in self._read if failure is not None)
+
+    @property
+    def singular(self) -> bool:
+        return bool(self.violations) and self.violations[0].condition == "singular"
+
+    @property
+    def inconclusive(self) -> bool:
+        self.explain()
+        return None in self._read
+
+    def __repr__(self) -> str:
+        return (
+            f"FeasibilityCheck(feasible={self.feasible}, violations={self.violations!r}, "
+            f"singular={self.singular}, inconclusive={self.inconclusive})"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> FeasibilityCheck:
+    """Stage conditions plus Bernstein-certified nonnegativity on [0,1] of
+    the condition polynomials of W, failing as label_nonneg or label_bound:
+    decided on return, explained on first access (FeasibilityCheck)."""
+    return FeasibilityCheck(_failures(tab, W, r, label))
 
 
 def monotonicity_feasible_method(tab: ButcherTableau, r: float) -> FeasibilityCheck:
@@ -322,7 +364,9 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
     is post-verified, and a feasible probe there means a non-interval set and
     surfaces as an error rather than a wrong answer.  For r = 0 that radius
     is 1e-8; a tol below 1e-10 also bisects (0, 1e-10) when 1e-10 probes
-    infeasible.
+    infeasible.  Only the verdict of each probe is read, and only the first
+    infeasible one is explained, at once, for first_infeasible.  conservative
+    means that some radius was judged infeasible without a witness.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tolerance must be finite and positive, got {tol}")
@@ -331,7 +375,7 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
     def run(r):
         nonlocal conservative
         check = probe(r)
-        conservative = conservative or check.inconclusive
+        conservative = conservative or not (check.feasible or check.witnessed)
         return check
 
     lo, hi = 0.0, 1e-10
@@ -339,6 +383,7 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
         if hi >= R_CAP:
             return SupResult(R_CAP, None, True, conservative)
         lo, hi = hi, min(max(1.0, 2.0 * hi), R_CAP)
+    first_bad.explain()
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

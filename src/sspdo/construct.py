@@ -410,15 +410,21 @@ def build_lp(
     Inequalities impose the transformed-weight nonnegativity and the step
     budget at degree + ELEVATION + 1 Chebyshev points, so an infeasible
     relaxation proves that no weights exist.  Replacing ``basis`` gives
-    another LP with the same equalities.
+    another LP with the same equalities.  A row that overflows raises
+    InvalidArgumentError.
     """
     A_eq, b_eq = _equalities(tab, order, degree, r)
+    with np.errstate(over="ignore"):
+        conditions = -condition_map(resolvent(tab, r), r)
+    if not (np.isfinite(A_eq).all() and np.isfinite(conditions).all()):
+        # the solver rejects such rows; no weights can be found from them
+        raise InvalidArgumentError(f"the LP rows at r={r} are not finite")
     return LpProblem(
         s=tab.s,
         degree=degree,
         A_eq=A_eq,
         b_eq=b_eq,
-        conditions=-condition_map(resolvent(tab, r), r),
+        conditions=conditions,
         basis=_collocation_basis(degree),
     )
 

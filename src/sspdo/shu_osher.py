@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import condition_map, resolvent
-from .errors import NonpositiveCError
+from .errors import InvalidArgumentError, NonpositiveCError
 from .integrate import Problem, Trajectory, dense_eval_grid, step
 from .tableau import ButcherTableau, DenseWeights, check_stage_count
 
@@ -83,17 +83,22 @@ def to_shu_osher(
     The beta polynomials are C times the transformed weights (I + C A)^{-T} w
     and mu is the step budget 1 - sum_j beta_j, which matches the published
     forms of the standard methods and makes the combination affine.
-    Round trip: w' = beta'(I + C A) / C up to roundoff.
+    Round trip: w' = beta'(I + C A) / C up to roundoff.  A coefficient that
+    overflows raises InvalidArgumentError.
     """
     if C <= 0:
         raise NonpositiveCError("Shu-Osher conversion needs C > 0")
     check_stage_count(tab, weights)
     M = resolvent(tab, C)
-    beta_bar = C * (condition_map(M, C)[:-1] @ weights.coeffs)
-    mu = -beta_bar.sum(axis=0)
-    mu[0] += 1.0
-    alpha = C * (tab.A @ M)
-    v = M @ np.ones(tab.s)
+    # an overflow leaves a non-finite coefficient, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta_bar = C * (condition_map(M, C)[:-1] @ weights.coeffs)
+        mu = -beta_bar.sum(axis=0)
+        mu[0] += 1.0
+        alpha = C * (tab.A @ M)
+        v = M @ np.ones(tab.s)
+    if not all(np.isfinite(x).all() for x in (beta_bar, mu, alpha, v)):
+        raise InvalidArgumentError(f"the Shu-Osher coefficients at C={C} are not finite")
     return ShuOsherDense(C=C, beta_bar=beta_bar, mu=mu, stage_alpha=alpha, stage_v=v)
 
 

@@ -235,10 +235,12 @@ def method_order_residuals(tab: ButcherTableau) -> ResidualReport:
     return _build_report(entries)
 
 
+@np.errstate(over="ignore")
 def dense_order_conditions(tab: ButcherTableau) -> tuple:
     """The dense order conditions through order three as (label, level,
     stage factors f, target t): sum_j f_j w_j(theta) = t(theta), with t given
-    by its monomial coefficients, constant term first."""
+    by its monomial coefficients, constant term first.  A factor that
+    overflows is infinite, without a numpy warning."""
     c, A = tab.c, tab.A
     return (
         ("dense_sum", 1, np.ones(tab.s), [0.0, 1.0]),

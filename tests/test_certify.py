@@ -104,8 +104,15 @@ def test_bisection_rejects_bad_tolerance(tol):
         ssp_coefficient(registry.get("ssp222").tableau, tol)
 
 
+_WITNESS = ("stage_bound", (1,), 2.0, None)  # the fields of a Violation
+
+
+def _check(feasible):
+    return FeasibilityCheck(() if feasible else (_WITNESS,))
+
+
 def _probe(feasible):
-    return lambda r: FeasibilityCheck(feasible=feasible(r), violations=())
+    return lambda r: _check(feasible(r))
 
 
 def test_post_verification_names_the_probed_r():
@@ -125,7 +132,7 @@ def test_bisection_probes_each_radius_once(sup):
 
     def probe(r):
         radii.append(r)
-        return FeasibilityCheck(feasible=0.0 < r <= sup, violations=())
+        return _check(0.0 < r <= sup)
 
     result = _sup_by_bisection(probe, 1e-10)
     assert len(radii) == len(set(radii))
@@ -137,7 +144,7 @@ def _probed_radii(sup, tol=1e-10):
 
     def probe(r):
         radii.append(r)
-        return FeasibilityCheck(feasible=0.0 < r <= sup, violations=())
+        return _check(0.0 < r <= sup)
 
     return radii, _sup_by_bisection(probe, tol)
 
@@ -269,6 +276,9 @@ def test_infeasible_probe_subdivides_only_failing_rows(monkeypatch):
     calls = _count_subdivisions(monkeypatch)
     check = monotonicity_feasible_method(registry.get("ssp222").tableau, 2.0)
     assert not check.feasible
+    # the verdict stops at the stage-budget witness, before any condition row
+    assert calls == []
+    assert [v.condition for v in check.violations] == ["stage_bound", "weight_nonneg"]
     assert len(calls) == 1
 
 
@@ -334,6 +344,86 @@ def test_certificate_computes_gamma_once(monkeypatch):
     cert = compute_certificate(registry.get("ssp322").tableau)
     assert len(calls) == 1
     assert cert.gamma == cert.xineq_lhs
+
+
+def _full_probe_bisection(probe, tol):
+    """The bisection as it was before verdicts were read lazily: every probe
+    is explained in full, and any inconclusive probe makes the sup
+    conservative."""
+    conservative = False
+
+    def run(r):
+        nonlocal conservative
+        check = probe(r)
+        conservative = conservative or check.inconclusive
+        return check
+
+    lo, hi = 0.0, 1e-10
+    while (first_bad := run(hi)).feasible:
+        if hi >= certify.R_CAP:
+            return certify.SupResult(certify.R_CAP, None, True, conservative)
+        lo, hi = hi, min(max(1.0, 2.0 * hi), certify.R_CAP)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if run(mid).feasible:
+            lo = mid
+        else:
+            hi = mid
+    assert not run(lo * (1.0 + 1e-8) + 1e-8).feasible
+    return certify.SupResult(lo, first_bad, False, conservative)
+
+
+def _methods_with_weights():
+    for key in ALL_KEYS:
+        entry = registry.get(key)
+        yield pytest.param(entry.tableau, entry.dense_weights, id=key)
+    for s in range(2, 41):
+        tab = family_tableau(s)
+        yield pytest.param(tab, second_order_weights(tab), id=f"family-s{s}")
+
+
+@pytest.mark.parametrize("tab,weights", _methods_with_weights())
+def test_certificate_equals_the_full_probe_bisection(monkeypatch, tab, weights):
+    # repr() spells each float exactly, so equal reprs mean bitwise-equal
+    # coefficients, gamma, xineq sides and witnesses
+    for dense in (None, weights):
+        lazy = compute_certificate(tab, dense)
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "_sup_by_bisection", _full_probe_bisection)
+            full = compute_certificate(tab, dense)
+        assert repr(lazy) == repr(full)
+        assert lazy.witnesses
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_certificate_builds_only_the_witnesses_it_reports(monkeypatch, dense):
+    built = []
+    original = certify.Violation
+
+    def counting(*fields):
+        built.append(original(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(certify, "Violation", counting)
+    tab = family_tableau(40)
+    cert = compute_certificate(tab, second_order_weights(tab) if dense else None)
+    assert cert.witnesses and len(built) == len(cert.witnesses)
+
+
+@pytest.mark.parametrize(
+    "failures,conservative",
+    [((None,), True), ((None, _WITNESS), False), ((_WITNESS, None), False)],
+)
+def test_conservative_means_infeasible_without_a_witness(failures, conservative):
+    # above r = 1 every radius has these failures; a witness refutes the
+    # radius even where an entry is also inconclusive
+    result = _sup_by_bisection(lambda r: FeasibilityCheck(() if r <= 1.0 else failures), 1e-10)
+    assert result.value == pytest.approx(1.0, abs=1e-9)
+    assert result.conservative is conservative
+    assert result.first_infeasible.inconclusive
+    assert len(result.first_infeasible.violations) == len(failures) - 1
 
 
 def test_implication_dense_not_above_method():

@@ -607,7 +607,8 @@ def test_singular_witness_record_is_strict_json(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_stage_record_is_strict_json(tmp_path, capsys):
     # A (I + rA)^{-1} overflows: that entry makes the probe inconclusive
-    # instead of a -Infinity witness
+    # instead of a -Infinity witness; the finite stage_bound witnesses still
+    # refute every radius, so the certificate is not conservative
     path = tmp_path / "m.json"
     path.write_text(json.dumps(
         {"A": [[0, 0, 0], [1e160, 0, 0], [0, 1e160, 0]], "b": ["1/3", "1/3", "1/3"]}
@@ -615,8 +616,36 @@ def test_overflowing_stage_record_is_strict_json(tmp_path, capsys):
     assert main(["certify", "--tableau", str(path), "--format", "record"]) == 0
     record = _strict_json(capsys.readouterr().out)
     assert record["r_method"] == 0.0
-    assert record["conservative"] is True
+    assert record["conservative"] is False
     assert "stage_nonneg" not in {w["condition"] for w in record["witnesses"]}
+
+
+_OVERFLOWING = {
+    "A": [[0, 0, 0], [1e160, 0, 0], [0, 1e160, 0]],
+    "b": ["1/3", "1/3", "1/3"],
+    "bbar": [[0, 1, "-2/3"], [0, 0, "1/3"], [0, 0, "1/3"]],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:requested r exceeds:UserWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shu-osher", "--C", "2", "--format", "record"],
+        ["search", "--order", "2", "--degree", "2", "--r", "1"],
+    ],
+    ids=["shu-osher", "search"],
+)
+def test_overflowing_coefficients_are_a_usage_error(argv, tmp_path, capsys):
+    # the Shu-Osher form and the LP rows overflow to inf and NaN: a typed
+    # error, not NaN in a record or the solver's ValueError
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_OVERFLOWING))
+    assert main([*argv, "--tableau", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "not finite" in captured.err
+    assert captured.out == ""
 
 
 def test_figure1_record_and_determinism(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from sspdo import certify, registry
 from sspdo.certify import CertStatus, dense_ssp_coefficient, poly_nonneg_on_unit
-from sspdo.errors import NonpositiveCError, SingularMatrixError
+from sspdo.errors import InvalidArgumentError, NonpositiveCError, SingularMatrixError
 from sspdo.problems import linear, sinode
 from sspdo.shu_osher import from_shu_osher, shu_osher_step_equivalence, to_shu_osher
 from sspdo.tableau import ButcherTableau, DenseWeights
@@ -34,6 +34,18 @@ def test_ssp332_published_form():
     assert np.allclose(form.beta_bar[1], [0.0, 0.0, 0.0], atol=1e-13)
     assert np.allclose(form.beta_bar[2], [0.0, 0.0, 2.0 / 3.0], atol=1e-13)
     assert np.allclose(form.mu, [1.0, -1.0, 1.0 / 3.0], atol=1e-13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_form_is_rejected():
+    # (I + 2A)^{-1} holds 4e320 = inf: beta, mu, alpha and v overflow
+    tab = ButcherTableau(
+        A=np.array([[0.0, 0.0, 0.0], [1e160, 0.0, 0.0], [0.0, 1e160, 0.0]]),
+        b=np.full(3, 1.0 / 3.0),
+    )
+    weights = DenseWeights([[0.0, 1.0, -2.0 / 3.0], [0.0, 0.0, 1.0 / 3.0], [0.0, 0.0, 1.0 / 3.0]])
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        to_shu_osher(tab, weights, 2.0)
 
 
 def test_zero_weights_give_identity_blend():
