@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import poly, registry
 from .certify import DEFAULT_BISECT_TOL, compute_certificate
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_method_args(p).add_argument(
         "--stages", type=int, help="use the s-stage family member"
     )
-    p.add_argument("--order", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--order", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--r", type=as_float, required=True)
     add_format(p)
@@ -261,11 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (SspdoError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # a library warning is one line for the user, not a source location
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr
+        )
+        try:
+            return args.func(args)
+        except (SspdoError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

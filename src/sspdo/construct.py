@@ -289,7 +289,6 @@ class SearchResult:
     status: str                       # "feasible" | "infeasible" | "inconclusive"
     weights: DenseWeights | None
     violated_necessary: PrescreenViolation | None = None
-    collocation: int | None = None
 
     @property
     def feasible(self) -> bool:
@@ -310,7 +309,6 @@ class SearchResult:
                 if self.violated_necessary is None
                 else self.violated_necessary.as_record()
             ),
-            "collocation": self.collocation,
         }
 
 
@@ -490,8 +488,9 @@ def lp_search(
     "inconclusive".  Every "feasible" carries weights certified continuously
     in the Bernstein basis; "infeasible" and "inconclusive" carry none.
     """
-    if order not in (1, 2, 3):
-        raise InvalidArgumentError("order must be 1, 2, or 3")
+    levels = sorted({level for _, level, _, _ in dense_order_conditions(tab)})
+    if order not in levels:
+        raise InvalidArgumentError(f"order must be one of {levels}")
     if degree < 1:
         raise InvalidArgumentError("degree must be at least 1")
     if degree > MAX_DEGREE:
@@ -499,7 +498,6 @@ def lp_search(
         raise DegreeTooHighError(f"degree {degree} exceeds {MAX_DEGREE}")
     if r <= 0:
         raise InvalidArgumentError("r must be positive")
-    n_collocation = degree + ELEVATION + 1
     method_check = monotonicity_feasible_method(tab, r)
     if not method_check.feasible:
         warnings.warn(
@@ -507,7 +505,7 @@ def lp_search(
         )
     violation = _prescreen(tab, order, degree, r, method_check)
     if violation is not None:
-        return SearchResult("infeasible", None, violation, n_collocation)
+        return SearchResult("infeasible", None, violation)
     relaxation = build_lp(tab, order, degree, r)
     restriction = replace(relaxation, basis=_bernstein_basis(degree))
     try:
@@ -518,13 +516,13 @@ def lp_search(
             weights, _ = _solve_lp(restriction, margin=False)
             certified = weights is not None and _certify_candidate(tab, weights, order, r)
         if certified:
-            return SearchResult("feasible", weights, collocation=n_collocation)
+            return SearchResult("feasible", weights)
         weights, _ = _solve_lp(relaxation)
     except IterationLimitError:
         # An LP stopped at the iteration bound decides nothing.
-        return SearchResult("inconclusive", None, collocation=n_collocation)
+        return SearchResult("inconclusive", None)
     if weights is None:
-        return SearchResult("infeasible", None, collocation=n_collocation)
+        return SearchResult("infeasible", None)
     if _certify_candidate(tab, weights, order, r):
-        return SearchResult("feasible", weights, collocation=n_collocation)
-    return SearchResult("inconclusive", None, collocation=n_collocation)
+        return SearchResult("feasible", weights)
+    return SearchResult("inconclusive", None)

@@ -62,10 +62,12 @@ class Trajectory:
         return self.t0 + self.h * np.arange(self.n_steps + 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(
     tab: ButcherTableau, problem: Problem, t_n: float, u_n, h: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One explicit step from (t_n, u_n); returns (u_next, stage_values, stage_derivs)."""
+    """One explicit step from (t_n, u_n); returns (u_next, stage_values, stage_derivs).
+    A state that overflows is a NonfiniteStateError, without a numpy warning."""
     if not tab.explicit:
         raise StructureError("only explicit tableaux can be stepped")
     u_n = np.atleast_1d(np.asarray(u_n, dtype=float))

@@ -207,9 +207,11 @@ def _build_report(entries) -> ResidualReport:
         labels.append(label)
         levels.append(level)
         residuals.append(res)
-        norms.append(poly.max_abs_on_unit(res)[0] if len(res) > 1 else abs(res[0]))
+        # the root finder rejects inf and NaN, whose max-norm is not finite
+        polynomial = len(res) > 1 and np.isfinite(res).all()
+        norms.append(poly.max_abs_on_unit(res)[0] if polynomial else np.abs(res).max())
     order = 0
-    for p in (1, 2, 3):
+    for p in sorted(set(levels)):
         if all(n <= EXACT_TOL for lvl, n in zip(levels, norms) if lvl <= p):
             order = p
         else:
@@ -223,24 +225,12 @@ def _build_report(entries) -> ResidualReport:
     )
 
 
-def method_order_residuals(tab: ButcherTableau) -> ResidualReport:
-    """Residuals of the classical order conditions through order three."""
-    b, c, A = tab.b, tab.c, tab.A
-    entries = [
-        ("sum_b", 1, [b.sum() - 1.0]),
-        ("sum_bc", 2, [b @ c - 0.5]),
-        ("sum_bc2", 3, [b @ (c * c) - 1.0 / 3.0]),
-        ("sum_b_c2half_minus_Ac", 3, [b @ (c * c / 2.0 - A @ c)]),
-    ]
-    return _build_report(entries)
-
-
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def dense_order_conditions(tab: ButcherTableau) -> tuple:
-    """The dense order conditions through order three as (label, level,
-    stage factors f, target t): sum_j f_j w_j(theta) = t(theta), with t given
-    by its monomial coefficients, constant term first.  A factor that
-    overflows is infinite, without a numpy warning."""
+    """The only table of order conditions, through order three: (label, level,
+    stage factors f, target t) for sum_j f_j w_j(theta) = t(theta), t in
+    monomial coefficients, constant term first; w = b at theta = 1 gives the
+    method's.  A factor that overflows is not finite, without a numpy warning."""
     c, A = tab.c, tab.A
     return (
         ("dense_sum", 1, np.ones(tab.s), [0.0, 1.0]),
@@ -250,16 +240,29 @@ def dense_order_conditions(tab: ButcherTableau) -> tuple:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def method_order_residuals(tab: ButcherTableau) -> ResidualReport:
+    """Residuals of the method's order conditions: the table at theta = 1 with
+    every weight constant at b_j, without a numpy warning on overflow."""
+    return _build_report(
+        (label, level, [factors @ tab.b - sum(target)])
+        for label, level, factors, target in dense_order_conditions(tab)
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def dense_order_residuals(tab: ButcherTableau, weights: DenseWeights) -> ResidualReport:
     """Residual polynomials of the dense order conditions through order three.
 
     Each residual is computed exactly in the monomial basis; the reported
-    max-norm on [0,1] is the exact max of the residual polynomial.
+    max-norm on [0,1] is the exact max of the residual polynomial.  A
+    residual that overflows is not finite, without a numpy warning.
     """
     check_stage_count(tab, weights)
-    width = max(weights.degree + 1, 4)
+    conditions = dense_order_conditions(tab)
+    width = max(weights.degree + 1, *(len(target) for *_, target in conditions))
     entries = []
-    for label, level, factors, target in dense_order_conditions(tab):
+    for label, level, factors, target in conditions:
         residual = poly.pad(factors @ weights.coeffs, width) - poly.pad(target, width)
         entries.append((label, level, residual))
     return _build_report(entries)

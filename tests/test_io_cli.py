@@ -425,7 +425,7 @@ def test_search_inconclusive_exits_zero_without_weights(monkeypatch, capsys):
     from sspdo.construct import SearchResult
 
     monkeypatch.setattr(
-        sspdo.cli, "lp_search", lambda *args: SearchResult("inconclusive", None, collocation=36)
+        sspdo.cli, "lp_search", lambda *args: SearchResult("inconclusive", None)
     )
     argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"]
     assert main(argv) == 0
@@ -433,7 +433,7 @@ def test_search_inconclusive_exits_zero_without_weights(monkeypatch, capsys):
     assert lines[0] == "search on family-s5: inconclusive"
     assert json.loads(lines[1]) == {
         "status": "inconclusive", "certified": False, "weights": None,
-        "violated_necessary": None, "collocation": 36,
+        "violated_necessary": None,
     }
 
 
@@ -472,7 +472,7 @@ def test_search_iteration_bound_is_inconclusive(monkeypatch, capsys):
     assert main(argv + ["--format", "record"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "status": "inconclusive", "certified": False, "weights": None,
-        "violated_necessary": None, "collocation": 3 + 32 + 1,
+        "violated_necessary": None,
     }
 
 
@@ -497,7 +497,7 @@ def test_search_solves_are_bounded(monkeypatch, capsys):
     assert main(SEARCH_S10 + ["--format", "record"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "status": "inconclusive", "certified": False, "weights": None,
-        "violated_necessary": None, "collocation": 6 + 32 + 1,
+        "violated_necessary": None,
     }
     assert max(iterations) <= 100
 
@@ -646,6 +646,43 @@ def test_overflowing_coefficients_are_a_usage_error(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "not finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["certify"], 0),
+        (["construct", "--order", "1"], 0),
+        (["construct", "--order", "2"], 2),
+        (["search", "--order", "1", "--degree", "2", "--r", "1"], 2),
+        (["shu-osher", "--C", "2"], 2),
+        (["integrate", "--u0", "0.3", "--h", "0.1", "--steps", "2"], 2),
+    ],
+    ids=["certify", "construct-1", "construct-2", "search", "shu-osher", "integrate"],
+)
+def test_overflowing_tableau_leaks_no_numpy_warning(argv, code, tmp_path, capsys):
+    # every subcommand meets inf and NaN on this tableau; numpy must stay
+    # silent, and stderr holds only the CLI's own one-line messages
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_OVERFLOWING))
+    assert main([*argv, "--tableau", str(path)]) == code
+    for line in capsys.readouterr().err.splitlines():
+        assert line.startswith(("error:", "warning:")), line
+
+
+def test_library_warning_is_one_stderr_line(capsys):
+    argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4.5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        "warning: requested r exceeds the method's SSP coefficient\n"
+    )
+
+
+def test_search_order_is_checked_against_the_condition_table(capsys):
+    argv = ["search", "--stages", "5", "--order", "4", "--degree", "3", "--r", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: order must be one of [1, 2, 3]\n"
 
 
 def test_figure1_record_and_determinism(tmp_path, capsys):

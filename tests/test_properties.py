@@ -1,5 +1,7 @@
 """Cross-cutting property checks that do not belong to a single module."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from sspdo.certify import (
 from sspdo.construct import family_tableau, lp_search, second_order_weights
 from sspdo.experiments import run_figure1
 from sspdo.problems import sinode
-from sspdo.tableau import ButcherTableau
+from sspdo.tableau import EXACT_TOL, ButcherTableau, method_order_residuals
 
 
 def test_implicit_method_unbounded_above():
@@ -126,3 +128,43 @@ def test_quadratic_recipe_keeps_coefficient_when_budget_holds():
     tab = family_tableau(5)
     assert dense_ssp_coefficient(tab, second_order_weights(tab)) < 4.0 - 1e-6
     assert ssp_coefficient(tab) == pytest.approx(4.0, abs=1e-8)
+
+
+def _classical_order(tab):
+    # independent oracle: the classical conditions written out by hand
+    b, c, A = tab.b, tab.c, tab.A
+    levels = (
+        [b.sum() - 1.0],
+        [b @ c - 0.5],
+        [b @ (c * c) - 1.0 / 3.0, b @ (A @ c) - 1.0 / 6.0],
+    )
+    order = 0
+    for residuals in levels:
+        if max(abs(x) for x in residuals) > EXACT_TOL:
+            break
+        order += 1
+    return order
+
+
+def _random_explicit_tableaux(n, seed=20161):
+    # b solves the first 0, 1, 2 or 4 conditions in turn, so every order shows
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        s = int(rng.integers(1, 7))
+        A = np.tril(rng.integers(-4, 5, (s, s)) / rng.integers(1, 5, (s, s)), -1)
+        c = A.sum(axis=1)
+        rows = (np.ones(s), c, c * c, A @ c)[: (0, 1, 2, 4)[k % 4]]
+        targets = (1.0, 0.5, 1.0 / 3.0, 1.0 / 6.0)[: len(rows)]
+        b = rng.uniform(-1.0, 1.0, s)
+        if rows:
+            b = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)[0]
+        yield ButcherTableau(A=A, b=b)
+
+
+def test_method_order_is_the_dense_table_at_theta_one():
+    family = (family_tableau(s) for s in range(2, 1001))
+    orders = []
+    for tab in itertools.chain(family, _random_explicit_tableaux(1400)):
+        orders.append(method_order_residuals(tab).order)
+        assert orders[-1] == _classical_order(tab), tab
+    assert set(orders) == {0, 1, 2, 3}

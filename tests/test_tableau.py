@@ -89,7 +89,7 @@ def test_explicit_flag():
 def test_method_order_euler():
     report = method_order_residuals(validate_tableau([[0]], [1]))
     assert report.order == 1
-    assert report.max_norm("sum_bc") == pytest.approx(0.5)
+    assert report.max_norm("dense_sum_c") == pytest.approx(0.5)
 
 
 def test_method_order_ssp322():
@@ -97,7 +97,7 @@ def test_method_order_ssp322():
     # condition misses 1/3 by exactly 1/12
     report = method_order_residuals(registry.get("ssp322").tableau)
     assert report.order == 2
-    assert report.max_norm("sum_bc2") == pytest.approx(1.0 / 12.0, abs=1e-15)
+    assert report.max_norm("dense_sum_c2") == pytest.approx(1.0 / 12.0, abs=1e-15)
 
 
 def test_method_order_ssp332_is_three():
@@ -207,3 +207,14 @@ def test_linear_scaling_order_links_method_order():
     coeffs[:, 1] = bad.b
     assert method_order_residuals(bad).order == 0
     assert dense_order_residuals(bad, DenseWeights(coeffs)).order == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_residuals_are_not_finite():
+    # c*c and A@c overflow: the residuals they enter are inf or NaN, without
+    # a numpy warning or a root finder's LinAlgError, and the order stops at 1
+    tab = validate_tableau([[0, 0, 0], [1e160, 0, 0], [0, 1e160, 0]], ["1/3"] * 3)
+    weights = DenseWeights([[0, 1, -2 / 3], [0, 0, 1 / 3], [0, 0, 1 / 3]])
+    for report in (method_order_residuals(tab), dense_order_residuals(tab, weights)):
+        assert report.order == 1
+        assert not np.isfinite(report.max_norm("dense_sum_c2"))
