@@ -16,7 +16,10 @@ A failed row, weight_* (method) or dense_* (dense), is witnessed by the value
 of its slack-folded polynomial at a theta (theta=0 for the constant b rows).
 A probe walks its conditions once, stage conditions first: its verdict is
 read up to the first witness, and the rest of the walk only when its
-witnesses are asked for, which bisection does at one radius.
+witnesses are asked for, which bisection does at one radius.  Bisection
+jumps to the two leaves around the root, estimated by Newton's method, of
+the condition that an infeasible probe's first witness fails, and infers
+every other verdict on its path from those probes.
 
 Sign tolerances are asymmetric: >=0 checks allow -1e-12 and <=1 checks allow
 1+1e-12, absorbing the ~1e-16-per-operation perturbation of rational tableaux
@@ -50,7 +53,10 @@ WITNESS_TOL = 1e-15
 MAX_DEPTH = 40
 MAX_NODES = 200_000
 MAX_DEGREE = 64         # highest polynomial degree the certifier converts
-MAX_STAGES = 1000       # largest family member built: certify takes ~5 s there
+MAX_STAGES = 1000       # largest family member built: certify takes ~2 s there
+GUIDED_JUMPS = 4        # Newton-guided jumps per bisection (_sup_by_bisection)
+NEWTON_STEPS = 8        # Newton iterations per root estimate
+NEWTON_RTOL = 1e-13     # a Newton step this small, relative to r, ends the iteration
 
 
 @functools.cache
@@ -269,6 +275,75 @@ def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
             yield None
 
 
+def _condition_slope(
+    tab: ButcherTableau, W: np.ndarray, r: float, condition: str, index: tuple | None
+) -> tuple[float, float]:
+    """g(r) and g'(r) for one failed condition of _failures, with its sign
+    slack folded in, so that the condition holds where g >= 0.
+
+    dM/dr = -M A M gives the derivatives: a stage entry (AM)_ij has slope
+    -(AM AM)_ij, and a stage budget r(AMe)_i has slope (AMe)_i - r(AM AMe)_i.
+    A condition polynomial's g is its minimum over theta in [0,1], and g' is
+    its r-derivative at the argmin (envelope theorem), so that the Newton
+    step follows the minimum rather than a fixed theta.  Only the row and
+    column that the condition reads are formed, by matrix-vector products.
+    A non-finite polynomial gives NaN.
+    """
+    M = resolvent(tab, r)
+    A = tab.A
+    if condition.startswith("stage"):
+        i = index[0] - 1
+        AM_i = A[i] @ M
+        if condition == "stage_nonneg":
+            AM_j = A @ M[:, index[1] - 1]
+            return float(AM_i[index[1] - 1]) + GE_TOL, -float(AM_i @ AM_j)
+        AMe = A @ (M @ np.ones(tab.s))
+        return 1.0 + LE_TOL - r * float(AMe[i]), -float(AMe[i]) + r * float(AM_i @ AMe)
+    if index is None:  # the budget: 1 - r (Me)'W
+        Me = M @ np.ones(tab.s)
+        row = -r * (Me @ W)
+        row[0] += 1.0 + LE_TOL
+        slope = -(Me - r * (M @ (A @ Me))) @ W
+    else:  # the transformed weight (M'W)_j
+        M_j = M[:, index[0] - 1]
+        row = M_j @ W
+        row[0] += GE_TOL
+        slope = -(M @ (A @ M_j)) @ W
+    if not (np.isfinite(row).all() and np.isfinite(slope).all()):
+        return math.nan, math.nan
+    g, theta = poly.min_on_unit(row)
+    return g, float(poly.evaluate(slope, theta))
+
+
+@np.errstate(all="ignore")
+def _root_estimate(tab: ButcherTableau, W: np.ndarray, r: float, witness: tuple) -> float | None:
+    """Newton's estimate, from r down, of the radius where the witnessed
+    condition g turns from holding to failing: each iteration costs one
+    resolvent (_condition_slope) and no probe.  None for a singular
+    witness, a singular resolvent, a non-finite value, critical points of
+    a polynomial that overflow (a leading coefficient near 1e-320), g' >= 0,
+    or an iterate outside (0, r].  The estimate only guides bisection, which
+    probes it; it is never an error or a warning."""
+    condition, index, _, _ = witness
+    if condition == "singular":
+        return None
+    x = r
+    for _ in range(NEWTON_STEPS):
+        try:
+            g, slope = _condition_slope(tab, W, x, condition, index)
+        except (SingularMatrixError, np.linalg.LinAlgError):
+            return None
+        if not (math.isfinite(g) and math.isfinite(slope) and slope < 0.0):
+            return None
+        step = g / slope
+        x -= step
+        if not 0.0 < x <= r:
+            return None
+        if abs(step) <= NEWTON_RTOL * x:
+            break
+    return x
+
+
 class FeasibilityCheck:
     """The verdict of one probe, read from its failures (_failures).
 
@@ -276,10 +351,12 @@ class FeasibilityCheck:
     only.  explain() reads the rest, once; violations, singular and
     inconclusive call it.  Bisection explains only its first infeasible
     radius, so every other probe builds no Violation and certifies no
-    condition row past its first witness.
+    condition row past its first witness.  root, if given, maps the first
+    witness to an estimate of the sup (root_estimate), read only when
+    bisection asks for it.
     """
 
-    def __init__(self, failures):
+    def __init__(self, failures, root=None):
         walk = iter(failures)
         read = []
         for failure in walk:
@@ -290,6 +367,15 @@ class FeasibilityCheck:
         # infeasible without a witness rests on inconclusive entries only
         self.witnessed = bool(read) and read[-1] is not None
         self._read, self._walk = read, walk
+        self._first_witness = read[-1] if self.witnessed else None
+        self._root = root
+
+    @functools.cached_property
+    def root_estimate(self) -> float | None:
+        """The radius where the first witness's condition turns, or None."""
+        if self._root is None or self._first_witness is None:
+            return None
+        return self._root(self._first_witness)
 
     def explain(self) -> None:
         """Read the failures past the first witness, once.  Until then the
@@ -325,7 +411,9 @@ def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> Feasibil
     """Stage conditions plus Bernstein-certified nonnegativity on [0,1] of
     the condition polynomials of W, failing as label_nonneg or label_bound:
     decided on return, explained on first access (FeasibilityCheck)."""
-    return FeasibilityCheck(_failures(tab, W, r, label))
+    return FeasibilityCheck(
+        _failures(tab, W, r, label), functools.partial(_root_estimate, tab, W, r)
+    )
 
 
 def monotonicity_feasible_method(tab: ButcherTableau, r: float) -> FeasibilityCheck:
@@ -357,16 +445,30 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
 
     One loop brackets the sup: starting from lo = 0, it probes hi = 1e-10,
     then max(1, 2*hi) capped at R_CAP, until a probe is infeasible; a
-    feasible probe at R_CAP means unbounded.  Bisection then halves the
-    bracket until it is at most tol wide or cannot be split in floating
-    point.  Every radius is probed once: lo is 0 or the last radius that
-    probed feasible, so only the radius lo*(1+1e-8)+1e-8 just above the sup
-    is post-verified, and a feasible probe there means a non-interval set and
-    surfaces as an error rather than a wrong answer.  For r = 0 that radius
-    is 1e-8; a tol below 1e-10 also bisects (0, 1e-10) when 1e-10 probes
-    infeasible.  Only the verdict of each probe is read, and only the first
-    infeasible one is explained, at once, for first_infeasible.  conservative
-    means that some radius was judged infeasible without a witness.
+    feasible probe at R_CAP means unbounded.  Bisection then walks the tree
+    of midpoints that halves the bracket until it is at most tol wide or
+    cannot be split in floating point (_descend).  A midpoint's verdict is
+    inferred where the interval shape decides it: feasible at or below the
+    highest radius probed feasible, infeasible at or above the lowest radius
+    probed infeasible.  At a midpoint it cannot infer, the walk first asks
+    the latest infeasible probe for its root estimate (Newton on its first
+    witness, FeasibilityCheck.root_estimate).  An estimate inside the
+    proven bracket leads down the tree, without probing, to the pair of
+    adjacent leaves around it, which are probed instead, at most
+    GUIDED_JUMPS times; otherwise the midpoint is probed.  On an
+    interval-shaped set the walk thus takes plain bisection's path and
+    returns its lo, the highest radius probed feasible, with at most
+    2 * GUIDED_JUMPS more probes, and usually the two leaves alone; a probe
+    without an estimate gives plain bisection.
+
+    Every radius is probed once: only the radius lo*(1+1e-8)+1e-8 just
+    above the sup is post-verified, and a feasible probe there means a
+    non-interval set and surfaces as an error rather than a wrong answer.
+    For r = 0 that radius is 1e-8; a tol below 1e-10 also bisects (0, 1e-10)
+    when 1e-10 probes infeasible.  Only the verdict of each probe is read,
+    and only the first infeasible one is explained, at once, for
+    first_infeasible.  conservative means that some radius was judged
+    infeasible without a witness.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tolerance must be finite and positive, got {tol}")
@@ -384,21 +486,62 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
             return SupResult(R_CAP, None, True, conservative)
         lo, hi = hi, min(max(1.0, 2.0 * hi), R_CAP)
     first_bad.explain()
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if run(mid).feasible:
-            lo = mid
+    # The proven bracket (feasible_max, infeasible_min) and the root estimate
+    # of the latest infeasible probe.  That probe is kept only until its
+    # estimate is read, because an unexplained probe holds its arrays.
+    feasible_max, infeasible_min = lo, hi
+    latest, estimate, jumps = first_bad, None, 0
+
+    def probe_at(r):  # r lies inside the proven bracket
+        nonlocal feasible_max, infeasible_min, latest, estimate
+        check = run(r)
+        if check.feasible:
+            feasible_max = r
         else:
-            hi = mid
-    upper = lo * (1.0 + 1e-8) + 1e-8
+            infeasible_min = r
+            latest, estimate = (check if jumps < GUIDED_JUMPS else None), None
+
+    def verdict(mid):
+        nonlocal latest, estimate, jumps
+        while feasible_max < mid < infeasible_min:
+            if latest is not None:
+                estimate, latest = latest.root_estimate, None
+            if not (
+                jumps < GUIDED_JUMPS
+                and estimate is not None
+                and feasible_max < estimate < infeasible_min
+            ):
+                probe_at(mid)
+                break
+            jumps += 1
+            for leaf in _descend(lo, hi, tol, lambda r: r <= estimate):
+                if feasible_max < leaf < infeasible_min:
+                    probe_at(leaf)
+        return mid <= feasible_max
+
+    _descend(lo, hi, tol, verdict)
+    upper = feasible_max * (1.0 + 1e-8) + 1e-8
     if run(upper).feasible:
         raise PostVerificationError(
             f"post-verification failed: r={upper} probed feasible above the sup",
             r=upper,
         )
-    return SupResult(lo, first_bad, False, conservative)
+    return SupResult(feasible_max, first_bad, False, conservative)
+
+
+def _descend(lo: float, hi: float, tol: float, feasible) -> tuple[float, float]:
+    """The pair of adjacent leaves that bisection of (lo, hi) ends on: it
+    halves until the bracket is at most tol wide or cannot be split in
+    floating point, keeping the upper half where feasible(mid) holds."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def ssp_coefficient(tab: ButcherTableau, tol: float = DEFAULT_BISECT_TOL) -> float:

@@ -64,8 +64,7 @@ def family_tableau(s: int) -> ButcherTableau:
         )
     if s > MAX_STAGES:
         raise InvalidArgumentError(f"the family is built up to s = {MAX_STAGES}, got {s}")
-    A = np.zeros((s, s))
-    A[np.tril_indices(s, -1)] = 1.0 / (s - 1)
+    A = np.tri(s, k=-1) / (s - 1)
     b = np.full(s, 1.0 / s)
     return ButcherTableau(A=A, b=b, name=f"family-s{s}")
 

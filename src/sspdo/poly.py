@@ -30,20 +30,40 @@ def derivative(c) -> np.ndarray:
     return P.polyder(as_poly(c))
 
 
+def _extremum_candidates(c: np.ndarray) -> list[float]:
+    """0, 1 and the real critical points of p in (0,1): where p takes its
+    extrema on [0,1]."""
+    candidates = [0.0, 1.0]
+    d = derivative(c)
+    if len(d) > 1:
+        for root in P.polyroots(d):
+            if abs(root.imag) < 1e-12 and 0.0 < root.real < 1.0:
+                candidates.append(float(root.real))
+    return candidates
+
+
 def max_abs_on_unit(c) -> tuple[float, float]:
     """Exact max of |p| on [0,1]: endpoints plus real critical points of p.
 
     Returns (max value, argmax).
     """
     c = as_poly(c)
-    candidates = [0.0, 1.0]
-    d = derivative(c)
-    if len(d) > 1 or d[0] != 0.0:
-        for root in P.polyroots(d) if len(d) > 1 else []:
-            if abs(root.imag) < 1e-12 and 0.0 < root.real < 1.0:
-                candidates.append(float(root.real))
+    candidates = _extremum_candidates(c)
     values = [abs(float(evaluate(c, x))) for x in candidates]
     k = int(np.argmax(values))
+    return values[k], candidates[k]
+
+
+def min_on_unit(c) -> tuple[float, float]:
+    """Exact min of p on [0,1], from the same candidates as max_abs_on_unit.
+    The coefficients must be finite.
+
+    Returns (min value, argmin).
+    """
+    c = as_poly(c)
+    candidates = _extremum_candidates(c)
+    values = [float(evaluate(c, x)) for x in candidates]
+    k = int(np.argmin(values))
     return values[k], candidates[k]
 
 

@@ -73,7 +73,8 @@ class ButcherTableau:
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise InvalidArgumentError("A and b must be finite")
         c = A.sum(axis=1)
-        explicit = not np.any(np.triu(A) != 0.0)
+        # explicit: no nonzero entry outside the strictly lower triangle
+        explicit = not np.any((A != 0.0) & ~np.tri(len(A), k=-1, dtype=bool))
         for arr in (A, b, c):
             arr.setflags(write=False)
         object.__setattr__(self, "A", A)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from sspdo.certify import (
     check_xineq,
     compute_certificate,
     dense_ssp_coefficient,
+    dense_ssp_coefficient_detailed,
     gamma_at,
     half_cell_matrices,
     monomial_to_bernstein,
@@ -22,8 +24,9 @@ from sspdo.certify import (
     poly_nonneg_on_unit,
     resolvent,
     ssp_coefficient,
+    ssp_coefficient_detailed,
 )
-from sspdo.construct import family_tableau, second_order_weights
+from sspdo.construct import family_tableau, first_order_weights, second_order_weights
 from sspdo.errors import (
     DegreeTooHighError,
     DimensionMismatchError,
@@ -426,6 +429,111 @@ def test_conservative_means_infeasible_without_a_witness(failures, conservative)
     assert len(result.first_infeasible.violations) == len(failures) - 1
 
 
+# ------------------------------------------------------------- guided walk
+
+
+@pytest.mark.parametrize("s", range(5, 13))
+def test_first_root_estimate_is_the_sup(s):
+    # Newton from the bracket's infeasible end (8 or 16 for the method, 4 for
+    # the dense formula) lands on the certified sup: the walk's first jump
+    # probes the two leaves around it
+    tab = family_tableau(s)
+    for result in (
+        ssp_coefficient_detailed(tab),
+        dense_ssp_coefficient_detailed(tab, second_order_weights(tab)),
+    ):
+        assert abs(result.first_infeasible.root_estimate - result.value) <= 1e-9
+
+
+def _estimated_radii(sup, estimate):
+    # feasible on (0, sup]; every infeasible check's root estimate is
+    # estimate(r), with r its radius, or there is none
+    radii = []
+
+    def probe(r):
+        radii.append(r)
+        root = None if estimate is None else lambda witness: estimate(r)
+        return FeasibilityCheck(() if 0.0 < r <= sup else (_WITNESS,), root)
+
+    return radii, _sup_by_bisection(probe, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda r: 1.9,
+        lambda r: 1.2,
+        lambda r: math.nan,
+        lambda r: 5.0,
+        lambda r: -1.0,
+        lambda r: 0.5 * (1.7 + r),
+        lambda r: 1.7,
+    ],
+    ids=["too-high", "too-low", "nan", "above-bracket", "negative", "creeping", "exact"],
+)
+def test_wrong_root_estimates_change_nothing(estimate):
+    # the bracket is (1, 2); a creeping estimate, halfway from each infeasible
+    # radius to the sup, keeps jumping until the cap
+    plain_radii, plain = _estimated_radii(1.7, None)
+    radii, result = _estimated_radii(1.7, estimate)
+    assert repr(result) == repr(plain)
+    assert len(radii) == len(set(radii))
+    assert len(radii) <= len(plain_radii) + 2 * certify.GUIDED_JUMPS
+
+
+def test_exact_root_estimate_ends_the_walk_at_its_leaves():
+    radii, result = _estimated_radii(1.7, lambda r: 1.7)
+    # the bracket's probes, the two leaves around 1.7, the post-verification
+    assert radii[:3] == [1e-10, 1.0, 2.0] and len(radii) == 6
+    assert radii[3] == result.value < 1.7 < radii[4] and radii[4] - radii[3] <= 1e-10
+    # just above a sup of 1, the lower leaf is the bracket's end, already
+    # probed (the slack makes estimates land there: family-s2 gives 1 + 1e-12)
+    radii, result = _estimated_radii(1.0, lambda r: 1.0 + 1e-12)
+    assert radii[:3] == [1e-10, 1.0, 2.0] and len(radii) == 5
+    assert result.value == 1.0 < radii[3] <= 1.0 + 1e-10
+
+
+def test_root_estimate_needs_a_witness():
+    assert FeasibilityCheck((), lambda witness: 1.0).root_estimate is None
+    assert FeasibilityCheck((None,), lambda witness: 1.0).root_estimate is None
+    assert FeasibilityCheck((None, _WITNESS), lambda witness: 1.0).root_estimate == 1.0
+    assert FeasibilityCheck((_WITNESS,)).root_estimate is None
+
+
+_OVERFLOWING = ((0.0, 0.0, 0.0), (1e160, 0.0, 0.0), (0.0, 1e160, 0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("A", [_OVERFLOWING, ((-1.0,),)], ids=["overflow", "singular"])
+def test_walk_on_overflowing_and_singular_tableaux(monkeypatch, A):
+    # no estimate exists: overflowed entries, a negative Newton iterate, or a
+    # singular I + rA; the certificates are plain bisection's, with or
+    # without a finer tol that bisects (0, 1e-10)
+    tab = ButcherTableau(A=np.array(A), b=np.full(len(A), 1.0 / len(A)))
+    for r in (1e-10, 0.5, 1.0, 2.0):
+        assert monotonicity_feasible_method(tab, r).root_estimate is None
+    for tol in (1e-10, 1e-13):
+        guided = compute_certificate(tab, first_order_weights(tab), tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "GUIDED_JUMPS", 0)
+            plain = compute_certificate(tab, first_order_weights(tab), tol)
+        assert repr(guided) == repr(plain)
+        assert (guided.r_method, guided.r_dense, guided.conservative) == (0.0, 0.0, False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_walk_survives_critical_points_that_overflow(monkeypatch):
+    # the budget's theta-derivative has a leading coefficient near 1e-320,
+    # so its companion matrix overflows and numpy cannot find its roots
+    tab = ButcherTableau(A=np.zeros((1, 1)), b=np.ones(1))
+    weights = DenseWeights(np.array([[0.0, 1.0, 0.0, 1e-320]]))
+    assert monotonicity_feasible_dense(tab, weights, 2.0).root_estimate is None
+    guided = compute_certificate(tab, weights)
+    monkeypatch.setattr(certify, "GUIDED_JUMPS", 0)
+    assert repr(compute_certificate(tab, weights)) == repr(guided)
+    assert guided.r_dense == 1.0
+
+
 def test_implication_dense_not_above_method():
     for key in ALL_KEYS:
         entry = registry.get(key)
@@ -674,6 +782,8 @@ def test_near_singular_resolvent_raises_on_pivot():
     assert str(info.value) == "pivot below 1e-12 while factorizing I + 1.0*A"
 
 
+# s = 5..40 gives the main thread about 0.1 s of work: enough that the few ms
+# which OpenBLAS's idle workers spend in any process stay far below the bound
 _THREAD_CPU_PROBE = """
 import resource
 from sspdo.certify import compute_certificate
@@ -683,7 +793,7 @@ def cpu(who):
     usage = resource.getrusage(who)
     return usage.ru_utime + usage.ru_stime
 
-tabs = [(family_tableau(s), second_order_weights(family_tableau(s))) for s in range(5, 13)]
+tabs = [(family_tableau(s), second_order_weights(family_tableau(s))) for s in range(5, 41)]
 compute_certificate(*tabs[0])  # warm-up: lazy imports and caches
 self0, main0 = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_THREAD)
 for tab, weights in tabs:

@@ -1,19 +1,23 @@
 """Cross-cutting property checks that do not belong to a single module."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
+from test_certify import _full_probe_bisection
 
+from sspdo import certify
 from sspdo.certify import (
+    compute_certificate,
     dense_ssp_coefficient,
     ssp_coefficient,
     ssp_coefficient_detailed,
 )
 from sspdo.construct import family_tableau, lp_search, second_order_weights
-from sspdo.experiments import run_figure1
+from sspdo.experiments import run_certification_sweep, run_figure1
 from sspdo.problems import sinode
-from sspdo.tableau import EXACT_TOL, ButcherTableau, method_order_residuals
+from sspdo.tableau import EXACT_TOL, ButcherTableau, DenseWeights, method_order_residuals
 
 
 def test_implicit_method_unbounded_above():
@@ -168,3 +172,56 @@ def test_method_order_is_the_dense_table_at_theta_one():
         orders.append(method_order_residuals(tab).order)
         assert orders[-1] == _classical_order(tab), tab
     assert set(orders) == {0, 1, 2, 3}
+
+
+def _random_dense_methods(n, seed=20163):
+    # random explicit tableaux, some with negative entries, and quadratic
+    # weights shaped like the recipe's: theta on stage 1 plus random theta^2
+    # terms, some of them negative
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        s = int(rng.integers(1, 7))
+        A = np.tril(rng.uniform(-0.05, 1.0, (s, s)), -1)
+        b = rng.uniform(0.1, 1.0, s)
+        b /= b.sum()
+        W = np.zeros((s, 3))
+        W[0, 1] = 1.0
+        W[:, 2] = rng.uniform(-0.05, 1.5, s) * b
+        W[0, 2] -= 1.0
+        yield ButcherTableau(A=A, b=b), DenseWeights(W)
+
+
+def test_guided_certificates_of_random_methods_equal_the_full_probe_bisection(monkeypatch):
+    # repr() spells each float exactly: the guided walk certifies the same
+    # bits as probing every midpoint
+    positive = 0
+    for tab, weights in _random_dense_methods(40):
+        guided = compute_certificate(tab, weights)
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "_sup_by_bisection", _full_probe_bisection)
+            full = compute_certificate(tab, weights)
+        assert repr(guided) == repr(full), (tab.A, weights.coeffs)
+        positive += guided.r_dense > 0.0
+    assert positive >= 20
+
+
+def test_sweep_makes_few_probes_per_bisection(monkeypatch):
+    # plain bisection to tol = 1e-10 made 42.5 probes per bisection here
+    calls = collections.Counter()
+    for name in (
+        "ssp_coefficient_detailed",
+        "dense_ssp_coefficient_detailed",
+        "monotonicity_feasible_method",
+        "monotonicity_feasible_dense",
+    ):
+
+        def counting(*args, _name=name, _original=getattr(certify, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(certify, name, counting)
+    run_certification_sweep(40)
+    bisections = calls["ssp_coefficient_detailed"] + calls["dense_ssp_coefficient_detailed"]
+    probes = calls["monotonicity_feasible_method"] + calls["monotonicity_feasible_dense"]
+    assert bisections == 78
+    assert probes <= 12 * bisections
