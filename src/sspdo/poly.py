@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.polynomial import polynomial as P
+
+
+@functools.cache
+def _polynomial():
+    """numpy.polynomial.polynomial, imported at the first call: its package
+    loads 9 modules, 3-5 ms of every CLI start, which `import numpy` alone
+    does not.  Callers look its functions up on the module at each call, so
+    a patch of numpy.polynomial.polynomial reaches them."""
+    from numpy.polynomial import polynomial
+
+    return polynomial
 
 
 def as_poly(coeffs) -> np.ndarray:
@@ -23,11 +35,11 @@ def pad(c: np.ndarray, length: int) -> np.ndarray:
 
 
 def evaluate(c, x):
-    return P.polyval(x, as_poly(c))
+    return _polynomial().polyval(x, as_poly(c))
 
 
 def derivative(c) -> np.ndarray:
-    return P.polyder(as_poly(c))
+    return _polynomial().polyder(as_poly(c))
 
 
 def _extremum_candidates(c: np.ndarray) -> list[float]:
@@ -36,7 +48,7 @@ def _extremum_candidates(c: np.ndarray) -> list[float]:
     candidates = [0.0, 1.0]
     d = derivative(c)
     if len(d) > 1:
-        for root in P.polyroots(d):
+        for root in _polynomial().polyroots(d):
             if abs(root.imag) < 1e-12 and 0.0 < root.real < 1.0:
                 candidates.append(float(root.real))
     return candidates

@@ -10,6 +10,7 @@ import pytest
 
 import sspdo
 from sspdo import cli, registry
+from sspdo.certify import DEFAULT_BISECT_TOL
 from sspdo.cli import main
 from sspdo.errors import ParseError
 from sspdo.experiments import (
@@ -124,6 +125,54 @@ def test_certify_tol_env(monkeypatch, capsys):
 
     args = build_parser().parse_args(["certify", "--method", "ssp222"])
     assert args.tol == 1e-6
+
+
+def _certify_tol(capsys) -> float:
+    assert main(["certify", "--method", "ssp222"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    return float(re.search(r"tol=([^)]+)\)", header).group(1))
+
+
+def test_certify_tol_env_is_read_on_every_call(monkeypatch, capsys):
+    # main reuses its parser, so a changed SSPDO_TOL must still reach --tol
+    monkeypatch.setenv("SSPDO_TOL", "1e-6")
+    assert _certify_tol(capsys) == 1e-6
+    monkeypatch.setenv("SSPDO_TOL", "1e-7")
+    assert _certify_tol(capsys) == 1e-7
+    monkeypatch.delenv("SSPDO_TOL")
+    assert _certify_tol(capsys) == DEFAULT_BISECT_TOL
+    monkeypatch.setenv("SSPDO_TOL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--method", "ssp222"])
+    assert exc.value.code == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+    monkeypatch.delenv("SSPDO_TOL")
+    assert _certify_tol(capsys) == DEFAULT_BISECT_TOL
+
+
+def test_parser_is_built_once(monkeypatch):
+    monkeypatch.delenv("SSPDO_TOL", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_reuse_keeps_no_flag_from_an_earlier_call(capsys):
+    argv = ["certify", "--method", "ssp322", "--format", "record"]
+    assert main([*argv, "--dense"]) == 0
+    assert json.loads(capsys.readouterr().out)["r_dense"] is not None
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["r_dense"] is None
+
+
+def test_parser_reuse_after_a_usage_error(capsys):
+    argv = ["certify", "--method", "ssp322", "--dense"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["certify"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
 
 
 def test_construct_emits_bbar_block(capsys):
@@ -512,18 +561,21 @@ def test_search_at_degree_ten_decides(capsys):
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.linalg costs about 0.34 s and 26 MB to import, then
     # scipy.optimize about 0.3 s and 20 MB more; only a resolvent or an LP
-    # solve may load them, never the CLI start
+    # solve may load them, never the CLI start.  Nor does the start load
+    # numpy.polynomial (9 modules, 3-5 ms) or build main's parser.
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, sspdo.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "sorted(m for m in sys.modules if m.startswith('numpy.polynomial')), "
+        "sspdo.cli._parser.cache_info().misses)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] [] 0"
 
 
 _SCIPY_LINALG_PROBE = """
