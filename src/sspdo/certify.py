@@ -53,7 +53,6 @@ WITNESS_TOL = 1e-15
 MAX_DEPTH = 40
 MAX_NODES = 200_000
 MAX_DEGREE = 64         # highest polynomial degree the certifier converts
-MAX_STAGES = 1000       # largest family member built: certify takes ~2 s there
 GUIDED_JUMPS = 4        # Newton-guided jumps per bisection (_sup_by_bisection)
 NEWTON_STEPS = 8        # Newton iterations per root estimate
 NEWTON_RTOL = 1e-13     # a Newton step this small, relative to r, ends the iteration
@@ -281,8 +280,11 @@ def _condition_slope(
     """g(r) and g'(r) for one failed condition of _failures, with its sign
     slack folded in, so that the condition holds where g >= 0.
 
-    dM/dr = -M A M gives the derivatives: a stage entry (AM)_ij has slope
-    -(AM AM)_ij, and a stage budget r(AMe)_i has slope (AMe)_i - r(AM AMe)_i.
+    A stage is a dense output whose weights are the constants A_i: the stage
+    entry (AM)_ij is transformed weight j of W = A_i[:, None], and the stage
+    budget r(AMe)_i is the budget of that W.  So two conditions serve all
+    four, with dM/dr = -M A M: transformed weight j, (M'W)_j, has slope
+    -(M A M)_j' W, and the budget 1 - r(Me)'W has slope -(Me - r M A Me)'W.
     A condition polynomial's g is its minimum over theta in [0,1], and g' is
     its r-derivative at the argmin (envelope theorem), so that the Newton
     step follows the minimum rather than a fixed theta.  Only the row and
@@ -292,13 +294,7 @@ def _condition_slope(
     M = resolvent(tab, r)
     A = tab.A
     if condition.startswith("stage"):
-        i = index[0] - 1
-        AM_i = A[i] @ M
-        if condition == "stage_nonneg":
-            AM_j = A @ M[:, index[1] - 1]
-            return float(AM_i[index[1] - 1]) + GE_TOL, -float(AM_i @ AM_j)
-        AMe = A @ (M @ np.ones(tab.s))
-        return 1.0 + LE_TOL - r * float(AMe[i]), -float(AMe[i]) + r * float(AM_i @ AMe)
+        W, index = A[index[0] - 1][:, None], index[1:] or None
     if index is None:  # the budget: 1 - r (Me)'W
         Me = M @ np.ones(tab.s)
         row = -r * (Me @ W)

@@ -23,7 +23,6 @@ import numpy as np
 from . import poly
 from .certify import (
     MAX_DEGREE,
-    MAX_STAGES,
     CertStatus,
     bernstein_matrix,
     condition_map,
@@ -36,7 +35,7 @@ from .errors import (
     DegreeTooHighError,
     DimensionMismatchError,
     InvalidArgumentError,
-    IterationLimitError,
+    NumericalCycleError,
     RepeatedAbscissaeError,
     StructureError,
 )
@@ -53,6 +52,8 @@ from .tableau import (
 
 #: Degree elevation of the Bernstein restriction LP above the weight degree.
 ELEVATION = 32
+#: Largest family member built: certify takes ~2 s there.
+MAX_STAGES = 1000
 
 
 def family_tableau(s: int) -> ButcherTableau:
@@ -319,9 +320,9 @@ def chebyshev_lobatto(n: int) -> np.ndarray:
 
 
 def _prescreen(tab, order, degree, r, check) -> PrescreenViolation | None:
-    stage_bad = [v for v in check.violations if v.condition.startswith("stage")]
-    if check.singular or stage_bad:
-        worst = stage_bad[0] if stage_bad else check.violations[0]
+    # a probe reports singular and stage_* before any weight row
+    worst = check.violations[0] if check.violations else None
+    if worst is not None and worst.condition.startswith(("singular", "stage")):
         return PrescreenViolation(
             condition="stage-conditions-at-r",
             detail="the stage conditions fail at the requested r regardless of "
@@ -483,7 +484,8 @@ def lp_search(
        means "infeasible", a point that certifies is "feasible", and any
        other point leaves the verdict "inconclusive".
 
-    An LP that reaches the solver's iteration bound ends the search
+    An LP that the solver stops without a verdict (NumericalCycleError: at
+    the iteration bound or by a numerical breakdown) ends the search
     "inconclusive".  Every "feasible" carries weights certified continuously
     in the Bernstein basis; "infeasible" and "inconclusive" carry none.
     """
@@ -517,8 +519,8 @@ def lp_search(
         if certified:
             return SearchResult("feasible", weights)
         weights, _ = _solve_lp(relaxation)
-    except IterationLimitError:
-        # An LP stopped at the iteration bound decides nothing.
+    except NumericalCycleError:
+        # An LP the solver stopped without a verdict decides nothing.
         return SearchResult("inconclusive", None)
     if weights is None:
         return SearchResult("infeasible", None)

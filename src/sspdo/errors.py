@@ -71,12 +71,9 @@ class UnknownNameError(SspdoError, KeyError):
 
 
 class NumericalCycleError(SspdoError, RuntimeError):
-    """The LP solver stopped without a feasibility verdict (numerical
-    breakdown, or the iteration bound of IterationLimitError)."""
-
-
-class IterationLimitError(NumericalCycleError):
-    """The LP solver reached its iteration bound before a verdict."""
+    """The LP solver stopped without a feasibility verdict: at its iteration
+    bound, or by a numerical breakdown.  The message carries the solver's
+    status, its iteration count and its own message."""
 
 
 class PostVerificationError(SspdoError, RuntimeError):

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .certify import MAX_STAGES, compute_certificate
-from .construct import family_tableau, first_order_weights, second_order_weights
+from .certify import compute_certificate
+from .construct import MAX_STAGES, family_tableau, first_order_weights, second_order_weights
 from .errors import InvalidArgumentError
 from .integrate import (
     ConvergenceStudy,

@@ -73,6 +73,8 @@ def min_on_unit(c) -> tuple[float, float]:
     Returns (min value, argmin).
     """
     c = as_poly(c)
+    if len(c) == 1:  # a stage or method condition, constant in theta
+        return float(c[0]), 0.0
     candidates = _extremum_candidates(c)
     values = [float(evaluate(c, x)) for x in candidates]
     k = int(np.argmin(values))

@@ -10,8 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .certify import MAX_STAGES
-from .construct import family_tableau, second_order_weights
+from .construct import MAX_STAGES, family_tableau, second_order_weights
 from .errors import InvalidArgumentError, UnknownNameError
 from .tableau import ButcherTableau, DenseWeights, validate_tableau
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationLimitError, NumericalCycleError
+from .errors import NumericalCycleError
 
-#: linprog status codes: 0 solved, 1 iteration bound reached, 2 infeasible;
-#: any other is a breakdown.
-SOLVED, ITERATION_LIMIT, INFEASIBLE = 0, 1, 2
+#: linprog status codes that decide: 0 solved, 2 infeasible.  Any other
+#: (1 iteration bound, 3 unbounded, 4 numerical breakdown) decides nothing.
+SOLVED, INFEASIBLE = 0, 2
 
 #: Iteration bound of one solve.  Over lp_search on family members with up
 #: to twelve stages (degree <= 6), no LP took more than 801 iterations.
@@ -35,7 +35,8 @@ def phase1_feasible(A_eq, b_eq, A_ub, b_ub, margin=None) -> SimplexResult:
     """A point of {x : A_eq x = b_eq, A_ub x <= b_ub}, x free.
 
     margin, a boolean mask over the rows of A_ub, turns the marked rows into
-    A_ub x + t <= b_ub and maximizes t in [0, 1].
+    A_ub x + t <= b_ub and maximizes t in [0, 1].  Any other stop than
+    SOLVED or INFEASIBLE raises NumericalCycleError.
     """
     n = np.shape(A_ub)[1]
     c, bounds = np.zeros(n), [(None, None)] * n
@@ -54,6 +55,5 @@ def phase1_feasible(A_eq, b_eq, A_ub, b_ub, margin=None) -> SimplexResult:
         return SimplexResult(True, res.x[:n], res.nit, t)
     if res.status == INFEASIBLE:
         return SimplexResult(False, None, res.nit)
-    if res.status == ITERATION_LIMIT:
-        raise IterationLimitError(f"HiGHS stopped after {res.nit} iterations: {res.message}")
-    raise NumericalCycleError(f"HiGHS stopped with status {res.status}: {res.message}")
+    stop = f"status {res.status} after {res.nit} iterations"
+    raise NumericalCycleError(f"HiGHS stopped with {stop}: {res.message}")

@@ -190,6 +190,16 @@ def test_barrier_contradiction_zero_weights_final_link():
     assert verdict.rhs == 1.0 and verdict.lhs == 0.0
 
 
+def test_barrier_contradiction_weights_must_vanish_at_zero():
+    # constant weights are nonnegative near 0 but do not vanish there
+    verdict = quadrature_barrier_order3(
+        [0.0, 1.0], DenseWeights([[0.25, 0.0], [0.75, 0.0]])
+    )
+    assert verdict.contradiction
+    assert verdict.failed_relation == "weights must vanish at 0"
+    assert verdict.lhs == 0.75 and verdict.rhs == 0.0
+
+
 # ---------------------------------------------------------------- lp search
 
 def test_collocation_grid_includes_endpoints():

@@ -12,6 +12,7 @@ import sspdo
 from sspdo import cli, registry
 from sspdo.certify import DEFAULT_BISECT_TOL
 from sspdo.cli import main
+from sspdo.construct import lp_search
 from sspdo.errors import ParseError
 from sspdo.experiments import (
     FIGURE1_N_STEPS,
@@ -358,6 +359,28 @@ def test_coefficient_beyond_float_range_exit_code(argv, tmp_path, monkeypatch, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([[0]], "top level must be an object"),
+        ({"A": [0, 1], "b": [1]}, "field 'A' must be a list of rows"),
+        ({"A": [[0]], "b": 1}, "field 'b' must be a list"),
+        ({"A": [[0]], "b": [1], "name": 3}, "field 'name' must be a string"),
+        ({"A": [[0]], "b": [1], "bbar": [0, 1]}, "field 'bbar' must be a list of rows"),
+    ],
+    ids=["top-level", "A", "b", "name", "bbar"],
+)
+def test_malformed_field_is_a_parse_error(data, message, tmp_path, capsys):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        loads_tableau(json.dumps(data))
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps(data))
+    assert main(["certify", "--tableau", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["certify", "--tableau", "/nonexistent.json"]) == 2
 
@@ -486,17 +509,23 @@ def test_search_inconclusive_exits_zero_without_weights(monkeypatch, capsys):
     }
 
 
-def test_search_solver_breakdown_exit_code(monkeypatch, capsys):
-    # any HiGHS status other than solved (0) or infeasible (2) is a typed error
+def test_search_solver_breakdown_is_inconclusive(monkeypatch, capsys):
+    # HiGHS status 4 (numerical breakdown) decides nothing: exit 0, inconclusive
     import scipy.optimize
 
     def numerical_difficulties(*args, **kwargs):
         return scipy.optimize.OptimizeResult(status=4, message="stub", nit=0)
 
     monkeypatch.setattr(scipy.optimize, "linprog", numerical_difficulties)
+    assert lp_search(registry.get("family-s5").tableau, 2, 3, 4.0).status == "inconclusive"
     argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: HiGHS stopped with status 4")
+    assert main(argv + ["--format", "record"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "status": "inconclusive", "certified": False, "weights": None,
+        "violated_necessary": None,
+    }
 
 
 def test_search_where_the_coarse_relaxation_broke_down_is_infeasible(capsys):
@@ -552,8 +581,7 @@ def test_search_solves_are_bounded(monkeypatch, capsys):
 
 
 def test_search_at_degree_ten_decides(capsys):
-    # a verdict, not a solver breakdown: HiGHS stops with status 4 (exit 2)
-    # on this search's LPs in split variables
+    # HiGHS stopped with status 4 on this search's LPs in split variables
     argv = ["search", "--stages", "11", "--order", "2", "--degree", "10", "--r", "9"]
     assert main(argv) == 0
 
