@@ -233,7 +233,7 @@ def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
     not warn.
     """
     if r < 0:
-        raise ValueError("r must be nonnegative")
+        raise InvalidArgumentError("r must be nonnegative")
     try:
         M = resolvent(tab, r)
     except SingularMatrixError:
@@ -441,19 +441,19 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
 
     One loop brackets the sup: starting from lo = 0, it probes hi = 1e-10,
     then max(1, 2*hi) capped at R_CAP, until a probe is infeasible; a
-    feasible probe at R_CAP means unbounded.  Bisection then walks the tree
-    of midpoints that halves the bracket until it is at most tol wide or
-    cannot be split in floating point (_descend).  A midpoint's verdict is
-    inferred where the interval shape decides it: feasible at or below the
-    highest radius probed feasible, infeasible at or above the lowest radius
-    probed infeasible.  At a midpoint it cannot infer, the walk first asks
-    the latest infeasible probe for its root estimate (Newton on its first
-    witness, FeasibilityCheck.root_estimate).  An estimate inside the
-    proven bracket leads down the tree, without probing, to the pair of
-    adjacent leaves around it, which are probed instead, at most
-    GUIDED_JUMPS times; otherwise the midpoint is probed.  On an
-    interval-shaped set the walk thus takes plain bisection's path and
-    returns its lo, the highest radius probed feasible, with at most
+    feasible probe at R_CAP means unbounded.  A second loop then follows
+    plain bisection's path of midpoints, halving the bracket until it is at
+    most tol wide or cannot be split in floating point.  A midpoint outside
+    the proven bracket (highest radius probed feasible, lowest radius probed
+    infeasible) is inferred, as the interval shape decides it, and the loop
+    halves on.  At the first midpoint it cannot infer, the loop reads the
+    root estimate of the latest infeasible probe (Newton on its first
+    witness, FeasibilityCheck.root_estimate).  An estimate inside the proven
+    bracket picks the two adjacent leaves of the tree around it (_leaves),
+    which are probed, at most GUIDED_JUMPS times; otherwise the midpoint is
+    probed.  Either way the loop then looks at the same midpoint again.  On
+    an interval-shaped set it thus takes plain bisection's path and returns
+    its lo, the highest radius probed feasible, with at most
     2 * GUIDED_JUMPS more probes, and usually the two leaves alone; a probe
     without an estimate gives plain bisection.
 
@@ -482,40 +482,34 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
             return SupResult(R_CAP, None, True, conservative)
         lo, hi = hi, min(max(1.0, 2.0 * hi), R_CAP)
     first_bad.explain()
-    # The proven bracket (feasible_max, infeasible_min) and the root estimate
-    # of the latest infeasible probe.  That probe is kept only until its
-    # estimate is read, because an unexplained probe holds its arrays.
+    # The proven bracket (feasible_max, infeasible_min), the walk's node
+    # (a, b) and the root estimate of the latest infeasible probe.  That
+    # probe is kept only until the next midpoint the loop cannot infer,
+    # where its estimate is read while jumps remain, because an unexplained
+    # probe holds its arrays.
     feasible_max, infeasible_min = lo, hi
     latest, estimate, jumps = first_bad, None, 0
-
-    def probe_at(r):  # r lies inside the proven bracket
-        nonlocal feasible_max, infeasible_min, latest, estimate
-        check = run(r)
-        if check.feasible:
-            feasible_max = r
-        else:
-            infeasible_min = r
-            latest, estimate = (check if jumps < GUIDED_JUMPS else None), None
-
-    def verdict(mid):
-        nonlocal latest, estimate, jumps
-        while feasible_max < mid < infeasible_min:
-            if latest is not None:
-                estimate, latest = latest.root_estimate, None
-            if not (
-                jumps < GUIDED_JUMPS
-                and estimate is not None
-                and feasible_max < estimate < infeasible_min
-            ):
-                probe_at(mid)
-                break
+    a, b = lo, hi
+    while b - a > tol and (mid := 0.5 * (a + b)) not in (a, b):
+        if not feasible_max < mid < infeasible_min:
+            a, b = (mid, b) if mid <= feasible_max else (a, mid)
+            continue
+        if latest is not None:
+            estimate = latest.root_estimate if jumps < GUIDED_JUMPS else None
+            latest = None
+        inside = estimate is not None and feasible_max < estimate < infeasible_min
+        if inside and jumps < GUIDED_JUMPS:
             jumps += 1
-            for leaf in _descend(lo, hi, tol, lambda r: r <= estimate):
-                if feasible_max < leaf < infeasible_min:
-                    probe_at(leaf)
-        return mid <= feasible_max
-
-    _descend(lo, hi, tol, verdict)
+            radii = _leaves(lo, hi, tol, estimate)
+        else:
+            radii = (mid,)
+        for r in radii:
+            if feasible_max < r < infeasible_min:
+                latest = run(r)
+                if latest.feasible:
+                    feasible_max, latest = r, None
+                else:
+                    infeasible_min, estimate = r, None
     upper = feasible_max * (1.0 + 1e-8) + 1e-8
     if run(upper).feasible:
         raise PostVerificationError(
@@ -525,18 +519,12 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
     return SupResult(feasible_max, first_bad, False, conservative)
 
 
-def _descend(lo: float, hi: float, tol: float, feasible) -> tuple[float, float]:
-    """The pair of adjacent leaves that bisection of (lo, hi) ends on: it
-    halves until the bracket is at most tol wide or cannot be split in
-    floating point, keeping the upper half where feasible(mid) holds."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+def _leaves(lo: float, hi: float, tol: float, x: float) -> tuple[float, float]:
+    """The pair of adjacent leaves around x that bisection of (lo, hi) ends
+    on: it halves until the bracket is at most tol wide or cannot be split
+    in floating point, keeping the upper half where mid <= x."""
+    while hi - lo > tol and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if mid <= x else (lo, mid)
     return lo, hi
 
 
@@ -588,7 +576,7 @@ def check_xineq(tab: ButcherTableau, r: float | None = None) -> XineqReport:
     if r is None:
         r = ssp_coefficient(tab)
     if r <= 0:
-        raise ValueError("the budget inequality needs a positive SSP coefficient")
+        raise InvalidArgumentError("the budget inequality needs a positive SSP coefficient")
     lhs = gamma_at(tab, r)
     rhs = 1.0 - r / 4.0
     return XineqReport(holds=bool(lhs <= rhs + 1e-9), lhs=lhs, rhs=rhs)
@@ -642,37 +630,25 @@ def compute_certificate(
     tol: float = DEFAULT_BISECT_TOL,
 ) -> SspCertificate:
     """Full certificate: method coefficient, dense coefficient when weights are
-    given, their min, gamma, and the budget-inequality verdict."""
+    given, their min, gamma, and the budget-inequality verdict, built in one
+    pass from the method's sup, the dense sup (None without weights) and the
+    budget-inequality report (None when the method coefficient is 0, where
+    gamma is read at r = 0).  The method's witnesses come first."""
     method = ssp_coefficient_detailed(tab, tol)
-    witnesses = (
-        method.first_infeasible.violations if method.first_infeasible else ()
-    )
-    conservative = method.conservative
-    r_dense = None
-    r_combined = None
-    if weights is not None:
-        dense = dense_ssp_coefficient_detailed(tab, weights, tol)
-        r_dense = dense.value
-        r_combined = min(method.value, dense.value)
-        conservative = conservative or dense.conservative
-        if dense.first_infeasible is not None:
-            witnesses = witnesses + dense.first_infeasible.violations
-    if method.value > 0:
-        xineq = check_xineq(tab, r=method.value)
-        holds, lhs, rhs = xineq.holds, xineq.lhs, xineq.rhs
-        gamma = lhs
-    else:
-        gamma = gamma_at(tab, method.value)
-        holds = lhs = rhs = None
+    dense = None if weights is None else dense_ssp_coefficient_detailed(tab, weights, tol)
+    xineq = check_xineq(tab, r=method.value) if method.value > 0 else None
+    sups = (method,) if dense is None else (method, dense)
     return SspCertificate(
         r_method=method.value,
-        r_dense=r_dense,
-        r_combined=r_combined,
-        gamma=gamma,
-        xineq_holds=holds,
-        xineq_lhs=lhs,
-        xineq_rhs=rhs,
-        witnesses=witnesses,
+        r_dense=None if dense is None else dense.value,
+        r_combined=None if dense is None else min(method.value, dense.value),
+        gamma=gamma_at(tab, method.value) if xineq is None else xineq.lhs,
+        xineq_holds=None if xineq is None else xineq.holds,
+        xineq_lhs=None if xineq is None else xineq.lhs,
+        xineq_rhs=None if xineq is None else xineq.rhs,
+        witnesses=tuple(
+            v for sup in sups if sup.first_infeasible for v in sup.first_infeasible.violations
+        ),
         method_unbounded=method.unbounded,
-        conservative=conservative,
+        conservative=any(sup.conservative for sup in sups),
     )

@@ -315,7 +315,7 @@ class SearchResult:
 def chebyshev_lobatto(n: int) -> np.ndarray:
     """n Chebyshev-distributed points on [0,1] including both endpoints."""
     if n < 2:
-        raise ValueError("need at least the two endpoints")
+        raise InvalidArgumentError("need at least the two endpoints")
     return 0.5 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
 
 
@@ -338,19 +338,19 @@ def _prescreen(tab, order, degree, r, check) -> PrescreenViolation | None:
     if order == 2 and degree == 2 and is_family_member(tab):
         s = tab.s
         # Uniqueness pins the quadratic coefficients to 1/s, so the first
-        # weight is theta - ((s-1)/s) theta^2; its peak must respect 1/r.
+        # weight is theta - ((s-1)/s) theta^2; its peak, at theta* =
+        # s/(2(s-1)) in [1/2, 1] for every s >= 2, must respect 1/r.
         theta_star = s / (2.0 * (s - 1.0))
-        if theta_star <= 1.0:
-            peak = theta_star - (s - 1.0) / s * theta_star**2
-            if peak > 1.0 / r + 1e-12:
-                return PrescreenViolation(
-                    condition="family-quadratic-peak",
-                    detail="the unique quadratic candidate exceeds the step "
-                    "budget at its peak",
-                    theta=theta_star,
-                    lhs=peak,
-                    rhs=1.0 / r,
-                )
+        peak = theta_star - (s - 1.0) / s * theta_star**2
+        if peak > 1.0 / r + 1e-12:
+            return PrescreenViolation(
+                condition="family-quadratic-peak",
+                detail="the unique quadratic candidate exceeds the step "
+                "budget at its peak",
+                theta=theta_star,
+                lhs=peak,
+                rhs=1.0 / r,
+            )
     return None
 
 
@@ -362,14 +362,11 @@ def _equalities(tab, order, D, r) -> tuple[np.ndarray, np.ndarray]:
     for _, level, stage_factors, target in dense_order_conditions(tab):
         if level > order:
             continue
+        # Powers above D carry no variables, so their rows are zero; a
+        # nonzero demand there is a structural contradiction the LP must report.
         target = poly.pad(target, D + 1)
-        blocks.append(np.kron(stage_factors, np.eye(D)))
-        rhs.append(target[1 : D + 1])
-        # Powers above D carry no variables; a nonzero demand there is a
-        # structural contradiction the LP must report.
-        beyond = target[D + 1 :][target[D + 1 :] != 0.0]
-        blocks.append(np.zeros((len(beyond), s * D)))
-        rhs.append(beyond)
+        blocks.append(np.kron(stage_factors, np.eye(len(target) - 1, D)))
+        rhs.append(target[1:])
     if order >= 2 and r > 0:
         blocks.append(np.kron(np.eye(s), np.eye(1, D)))
         rhs.append(np.eye(1, s)[0])

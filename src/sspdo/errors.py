@@ -59,8 +59,9 @@ class ParseError(SspdoError, ValueError):
 
 
 class InvalidArgumentError(SspdoError, ValueError):
-    """A numeric argument (stage count, order, degree, r, dense points per
-    step) is out of range, or a coefficient is not finite."""
+    """A numeric argument (stage count, order, degree, r, point count, dense
+    points per step) is out of range, a coefficient is not finite, or
+    polynomial coefficients are not one-dimensional."""
 
 
 class UnknownNameError(SspdoError, KeyError):

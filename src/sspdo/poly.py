@@ -6,6 +6,11 @@ import functools
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
+#: The variable that to_string writes.
+VARIABLE = "t"
+
 
 @functools.cache
 def _polynomial():
@@ -21,7 +26,7 @@ def _polynomial():
 def as_poly(coeffs) -> np.ndarray:
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if c.ndim != 1:
-        raise ValueError("polynomial coefficients must be one-dimensional")
+        raise InvalidArgumentError("polynomial coefficients must be one-dimensional")
     return c
 
 
@@ -81,8 +86,8 @@ def min_on_unit(c) -> tuple[float, float]:
     return values[k], candidates[k]
 
 
-def to_string(c, var: str = "t") -> str:
-    """Human-readable form, e.g. '1 - 2*t + 1.3333*t^2'."""
+def to_string(c) -> str:
+    """Human-readable form in the variable VARIABLE, e.g. '1 - 2*t + 1.3333*t^2'."""
     c = as_poly(c)
     parts = []
     for k, a in enumerate(c):
@@ -93,7 +98,7 @@ def to_string(c, var: str = "t") -> str:
         if k == 0:
             term = coeff
         else:
-            power = var if k == 1 else f"{var}^{k}"
+            power = VARIABLE if k == 1 else f"{VARIABLE}^{k}"
             term = power if mag == 1.0 else f"{coeff}*{power}"
         if not parts:
             parts.append(term if a >= 0 else f"-{term}")

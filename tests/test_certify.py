@@ -26,13 +26,19 @@ from sspdo.certify import (
     ssp_coefficient,
     ssp_coefficient_detailed,
 )
-from sspdo.construct import family_tableau, first_order_weights, second_order_weights
+from sspdo.construct import (
+    chebyshev_lobatto,
+    family_tableau,
+    first_order_weights,
+    second_order_weights,
+)
 from sspdo.errors import (
     DegreeTooHighError,
     DimensionMismatchError,
     InvalidArgumentError,
     PostVerificationError,
     SingularMatrixError,
+    SspdoError,
 )
 from sspdo.tableau import ButcherTableau, DenseWeights, endpoint_check, validate_tableau
 
@@ -40,6 +46,28 @@ ALL_KEYS = ["ssp222", "ssp322", "ssp332", "numexample-322"]
 
 
 # ---------------------------------------------------------------- feasibility
+
+_SSP222 = registry.get("ssp222")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: monotonicity_feasible_method(_SSP222.tableau, -1.0),
+        lambda: monotonicity_feasible_dense(_SSP222.tableau, _SSP222.dense_weights, -1.0),
+        lambda: check_xineq(_SSP222.tableau, r=0.0),
+        lambda: chebyshev_lobatto(1),
+        lambda: poly.as_poly([[1.0, 2.0]]),
+    ],
+    ids=["method-r", "dense-r", "xineq-r", "chebyshev-n", "as-poly-2d"],
+)
+def test_bad_argument_is_a_package_error(call):
+    # still a ValueError, for callers that catch that
+    with pytest.raises(SspdoError) as info:
+        call()
+    assert isinstance(info.value, InvalidArgumentError)
+    assert isinstance(info.value, ValueError)
+
 
 def test_feasible_ssp222_at_one():
     assert monotonicity_feasible_method(registry.get("ssp222").tableau, 1.0).feasible

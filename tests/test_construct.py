@@ -23,7 +23,12 @@ from sspdo.construct import (
     quadrature_barrier_order3,
     second_order_weights,
 )
-from sspdo.errors import DegreeTooHighError, RepeatedAbscissaeError, StructureError
+from sspdo.errors import (
+    DegreeTooHighError,
+    DimensionMismatchError,
+    RepeatedAbscissaeError,
+    StructureError,
+)
 from sspdo.tableau import (
     ButcherTableau,
     DenseWeights,
@@ -142,6 +147,11 @@ def test_derivative_pins_linear_recipe_fails():
 def test_derivative_pins_nonssp_weights_fail():
     entry = registry.get("numexample-322")
     assert not barrier_first_derivative(entry.tableau, registry.nonssp_weights_322())
+
+
+def test_barrier_abscissas_must_match_the_weight_rows():
+    with pytest.raises(DimensionMismatchError):
+        quadrature_barrier_order3([0.0, 1.0], registry.get("ssp332").dense_weights)
 
 
 def test_barrier_repeated_abscissas():

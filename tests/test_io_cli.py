@@ -367,8 +367,11 @@ def test_coefficient_beyond_float_range_exit_code(argv, tmp_path, monkeypatch, c
         ({"A": [[0]], "b": 1}, "field 'b' must be a list"),
         ({"A": [[0]], "b": [1], "name": 3}, "field 'name' must be a string"),
         ({"A": [[0]], "b": [1], "bbar": [0, 1]}, "field 'bbar' must be a list of rows"),
+        ({"A": [[0, 0], [1, 0]], "b": [0.5, 0.5], "c": [0, 1, 2]},
+         "c length does not match stage count"),
+        ({"A": [[0, 0], [None, 0]], "b": [0.5, 0.5]}, "cannot interpret None as a coefficient"),
     ],
-    ids=["top-level", "A", "b", "name", "bbar"],
+    ids=["top-level", "A", "b", "name", "bbar", "c-length", "null-entry"],
 )
 def test_malformed_field_is_a_parse_error(data, message, tmp_path, capsys):
     with pytest.raises(ParseError, match=re.escape(message)):
@@ -378,6 +381,27 @@ def test_malformed_field_is_a_parse_error(data, message, tmp_path, capsys):
     assert main(["certify", "--tableau", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+
+
+def test_search_on_a_one_stage_tableau_is_infeasible(tmp_path, capsys):
+    # forward Euler is no family member (s < 2) and has no second-order
+    # dense output: a verdict, exit 0
+    path = tmp_path / "euler.json"
+    path.write_text(json.dumps({"A": [[0]], "b": [1]}))
+    argv = ["search", "--tableau", str(path), "--order", "2", "--degree", "2", "--r", "0.5"]
+    assert main([*argv, "--format", "record"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "infeasible"
+    assert captured.err == ""
+
+
+def test_construct_needs_a_first_order_method(tmp_path, capsys):
+    path = tmp_path / "order0.json"
+    path.write_text(json.dumps({"A": [[0]], "b": [0]}))
+    assert main(["construct", "--tableau", str(path), "--order", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: method must be at least first order\n"
     assert captured.out == ""
 
 

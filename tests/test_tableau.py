@@ -20,6 +20,19 @@ from sspdo.tableau import (
 )
 
 
+def test_reprs_name_the_shape():
+    entry = registry.get("ssp322")
+    assert repr(entry.tableau) == "ButcherTableau(SSP(3,2,2), s=3, explicit=True)"
+    assert repr(ButcherTableau(A=np.eye(1), b=np.ones(1))) == (
+        "ButcherTableau(tableau, s=1, explicit=False)"
+    )
+    assert repr(entry.dense_weights) == "DenseWeights(s=3, degree=2)"
+    assert repr(method_order_residuals(entry.tableau)) == (
+        "ResidualReport(order=2, dense_sum=0.000e+00, dense_sum_c=0.000e+00, "
+        "dense_sum_c2=8.333e-02, dense_sum_Ac=8.333e-02)"
+    )
+
+
 def test_validate_ssp222():
     tab = validate_tableau([[0, 0], [1, 0]], ["1/2", "1/2"])
     assert np.array_equal(tab.c, [0.0, 1.0])
