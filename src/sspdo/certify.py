@@ -49,7 +49,6 @@ LE_TOL = 1e-12          # slack allowed on the <= 1 side
 PIVOT_TOL = 1e-12
 DEFAULT_BISECT_TOL = 1e-10
 R_CAP = 1e6
-WITNESS_TOL = 1e-15
 MAX_DEPTH = 40
 MAX_NODES = 200_000
 MAX_DEGREE = 64         # highest polynomial degree the certifier converts
@@ -166,10 +165,16 @@ def poly_nonneg_on_unit(coeffs) -> PolyNonnegReport:
 
     All coefficients of a cell [a,b] nonnegative certifies it.  Otherwise its
     end coefficients are p(a), p(b) and its halves share p(mid); the first of
-    p(a), p(mid), p(b) below -WITNESS_TOL is a negative witness, else both
-    halves are examined, right first, up to MAX_DEPTH and MAX_NODES; a cell
-    with a non-finite coefficient is not split.  Inconclusive cells leave the
-    verdict open rather than wrong.
+    p(a), p(mid), p(b) that reads below 0.0 is a negative witness, with no
+    floor, else both halves are examined, right first, up to MAX_DEPTH and
+    MAX_NODES; a cell with a non-finite coefficient is not split.
+    Inconclusive cells leave the verdict open rather than wrong.
+
+    A witness never turns a certified row into a refuted one: its value
+    passes unchanged to the end of every subcell that holds its theta, so
+    no cell there can certify, and the row would otherwise end inconclusive,
+    which fails a probe just as a witness does.  A witness within rounding
+    of zero thus marks a row that is not certified, not one proven negative.
     """
     bern = monomial_to_bernstein(poly.as_poly(coeffs))
     halves = half_cell_matrices(len(bern) - 1)
@@ -189,7 +194,7 @@ def poly_nonneg_on_unit(coeffs) -> PolyNonnegReport:
         left, right = halves @ bern
         mid = 0.5 * (a + b)
         for theta, value in ((a, bern[0]), (mid, left[-1]), (b, bern[-1])):
-            if value < -WITNESS_TOL:
+            if value < 0.0:
                 return PolyNonnegReport(CertStatus.NEGATIVE, theta, float(value), deepest)
         if depth >= MAX_DEPTH or nodes > MAX_NODES:
             inconclusive = True

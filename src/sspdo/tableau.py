@@ -29,11 +29,13 @@ EXACT_TOL = 1e-13
 def as_float(value) -> float:
     """Parse a coefficient: numbers pass through, strings like '1/3' are read
     as exact fractions and rounded to binary floating point once.  A zero
-    denominator or a value beyond the float range is a ValueError."""
+    denominator or a value beyond the float range is a ValueError; a bool,
+    though an int to Python, is a TypeError like any other non-number."""
     try:
         if isinstance(value, str):
             return float(Fraction(value))
-        if isinstance(value, (int, float, np.integer, np.floating)):
+        number = isinstance(value, (int, float, np.integer, np.floating))
+        if number and not isinstance(value, bool):
             return float(value)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {value!r}") from exc
@@ -133,6 +135,8 @@ class DenseWeights:
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.array(self.coeffs, dtype=float))
+        if coeffs.size == 0:
+            raise InvalidArgumentError("dense weights have no coefficients")
         if not np.all(np.isfinite(coeffs)):
             raise InvalidArgumentError("dense weight coefficients must be finite")
         coeffs.setflags(write=False)
@@ -143,7 +147,7 @@ class DenseWeights:
     @classmethod
     def from_rows(cls, rows) -> "DenseWeights":
         parsed = [[as_float(x) for x in row] for row in rows]
-        width = max(len(row) for row in parsed)
+        width = max(map(len, parsed), default=0)
         coeffs = np.zeros((len(parsed), width))
         for j, row in enumerate(parsed):
             coeffs[j, : len(row)] = row

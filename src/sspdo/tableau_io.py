@@ -30,6 +30,8 @@ def loads_tableau(text: str, source: str = "<string>"):
     A = data["A"]
     if not isinstance(A, list) or not all(isinstance(row, list) for row in A):
         raise ParseError(f"{source}: field 'A' must be a list of rows")
+    if not A:
+        raise ParseError(f"{source}: field 'A' has no rows")
     widths = {len(row) for row in A}
     if len(widths) != 1:
         raise ParseError(f"{source}: field 'A' has ragged rows (lengths {sorted(widths)})")

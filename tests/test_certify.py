@@ -687,14 +687,12 @@ def test_certifier_never_evaluates_the_polynomial(monkeypatch):
 
 
 def test_node_bound_ends_subdivision(monkeypatch):
-    # a degree-64 row at -1e-16 never certifies and never yields a witness
-    # (WITNESS_TOL is 1e-15); with the depth bound lifted, only MAX_NODES
-    # can end its subdivision
-    monkeypatch.setattr(certify, "MAX_NODES", 1_000)
-    monkeypatch.setattr(certify, "MAX_DEPTH", 1_000_000)
-    row = np.zeros(65)
-    row[0] = -1e-16
-    report = poly_nonneg_on_unit(row)
+    # (theta - 1/10)^2 in float coefficients dips to -9.02e-19, and its first
+    # witness lies 28 halvings deep; with the depth bound lifted, only
+    # MAX_NODES can end its subdivision before that
+    monkeypatch.setattr(certify, "MAX_NODES", 20)
+    monkeypatch.setattr(certify, "MAX_DEPTH", 10**6)
+    report = poly_nonneg_on_unit([0.01, -0.2, 1.0])
     assert report.certified is CertStatus.INCONCLUSIVE
     assert report.depth < certify.MAX_DEPTH
     assert report.depth <= certify.MAX_NODES
@@ -707,6 +705,40 @@ def test_negative_witness_is_the_shared_midpoint_coefficient():
     assert report.certified is CertStatus.NEGATIVE
     assert report.witness_theta == 0.5
     assert report.witness_value == -0.75
+
+
+def test_witness_has_no_floor():
+    # the float coefficients of (theta - 1/10)^2 dip to -9.02e-19 at
+    # theta = 0.1; any negative value read from a cell is a witness
+    report = poly_nonneg_on_unit([0.01, -0.2, 1.0])
+    assert report.certified is CertStatus.NEGATIVE
+    assert report.witness_value < 0.0
+    assert report.witness_theta == pytest.approx(0.1, abs=1e-8)
+
+
+def test_row_touching_zero_inside_the_interval_is_decided(monkeypatch):
+    # the bisection's last probes meet condition rows whose interior
+    # minimum lies just below zero, such as 1e-12 - 8.90e-5 theta^2 +
+    # 0.323 theta^3 here; they are refuted at once rather than subdivided
+    # to the node bound
+    monkeypatch.setattr(certify, "MAX_NODES", 2_000)
+    A = np.zeros((5, 5))
+    A[2, :2] = [0.623, 0.098]
+    A[3, :3] = [0.889, 0.807, 0.178]
+    A[4, :3] = [0.869, 0.878, 0.622]
+    W = np.array(
+        [
+            [0.0, 1.0, -0.57, -0.213],
+            [0.0, 0.0, 0.02, 0.328],
+            [0.0, 0.0, 0.166, 0.11],
+            [0.0, 0.0, 0.139, -0.066],
+            [0.0, 0.0, 0.003, 0.085],
+        ]
+    )
+    tab = ButcherTableau(A=A, b=np.full(5, 0.2))
+    result = dense_ssp_coefficient_detailed(tab, DenseWeights(W))
+    assert result.value == 0.15373354367061254
+    assert not result.conservative
 
 
 # ------------------------------------------------------------------ xineq

@@ -102,6 +102,31 @@ def test_bbar_row_count_checked():
         )
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"A": [], "b": []}, "field 'A' has no rows"),
+        ({"A": [[0]], "b": [1], "bbar": []}, "field 'bbar': dense weights have no coefficients"),
+    ],
+)
+def test_empty_coefficient_blocks_rejected(data, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        loads_tableau(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"A": [[0, 0], [True, 0]], "b": ["1/2", "1/2"]},
+        {"A": [[0, 0], [1, 0]], "b": [False, 1]},
+        {"A": [[0, 0], [1, 0]], "b": ["1/2", "1/2"], "bbar": [[0, True], [0, "1/2"]]},
+    ],
+)
+def test_json_booleans_are_no_coefficients(data):
+    with pytest.raises(ParseError, match="cannot interpret (True|False) as a coefficient"):
+        loads_tableau(json.dumps(data))
+
+
 # ----------------------------------------------------------------------- cli
 
 def test_certify_record(capsys):
@@ -229,6 +254,24 @@ def test_integrate_dense_without_weights_exit_code(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--dense requires dense weights" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["certify", "--dense"],
+        ["shu-osher", "--C", "1"],
+        ["integrate", "--u0", "0.3", "--h", "0.5", "--steps", "1", "--dense", "4"],
+    ],
+)
+def test_empty_dense_weight_rows_exit_code(command, tmp_path, capsys):
+    path = tmp_path / "empty-bbar.json"
+    path.write_text(json.dumps({"A": [[0]], "b": [1], "bbar": [[]]}))
+    assert main([command[0], "--tableau", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "dense weights have no coefficients" in captured.err
 
 
 def test_integrate_dense_one_needs_no_weights(capsys):

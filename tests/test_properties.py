@@ -191,6 +191,31 @@ def _random_dense_methods(n, seed=20163):
         yield ButcherTableau(A=A, b=b), DenseWeights(W)
 
 
+def _touching_dense_methods(n, seed=11):
+    # 5-stage explicit tableaux with two zero rows, 3-digit entries and
+    # b = 0.2, and cubic weights with small theta^2 and theta^3 terms: near
+    # their sup, condition rows dip just below zero inside (0, 1)
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        A = np.zeros((5, 5))
+        for i in range(2, 5):
+            A[i, :i] = np.round(rng.uniform(0.0, 1.0, i), 3)
+        W = np.zeros((5, 4))
+        W[0, 1] = 1.0
+        W[0, 2:] = np.round(rng.uniform([-0.6, -0.3], [0.2, 0.35]), 3)
+        W[1:, 2] = np.round(rng.uniform(0.0, 0.2, 4), 3)
+        W[1:, 3] = np.round(rng.uniform(-0.1, 0.35, 4), 3)
+        yield ButcherTableau(A=A, b=np.full(5, 0.2)), DenseWeights(W)
+
+
+def test_rows_touching_zero_leave_no_certificate_conservative(monkeypatch):
+    # near its sup each of these meets rows whose minimum lies just below
+    # zero; they are refuted, not subdivided to the node bound
+    monkeypatch.setattr(certify, "MAX_NODES", 2_000)
+    for tab, weights in _touching_dense_methods(10):
+        assert not compute_certificate(tab, weights).conservative, tab.A
+
+
 def test_guided_certificates_of_random_methods_equal_the_full_probe_bisection(monkeypatch):
     # repr() spells each float exactly: the guided walk certifies the same
     # bits as probing every midpoint

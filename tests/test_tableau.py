@@ -82,6 +82,12 @@ def test_zero_denominator_is_value_error():
         as_float("1/0")
 
 
+@pytest.mark.parametrize("coeffs", [[], np.zeros((3, 0)), np.zeros((0, 2))])
+def test_dense_weights_without_coefficients_rejected(coeffs):
+    with pytest.raises(InvalidArgumentError, match="no coefficients"):
+        DenseWeights(coeffs)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_nonfinite_coefficients_rejected(bad):
     for build in (
