@@ -14,12 +14,11 @@ subdivides only the rows with a negative coefficient: never sampling alone,
 which can miss sign dips near theta=0, where the weight polynomials vanish.
 A failed row, weight_* (method) or dense_* (dense), is witnessed by the value
 of its slack-folded polynomial at a theta (theta=0 for the constant b rows).
-A probe walks its conditions once, stage conditions first: its verdict is
-read up to the first witness, and the rest of the walk only when its
-witnesses are asked for, which bisection does at one radius.  Bisection
-jumps to the two leaves around the root, estimated by Newton's method, of
-the condition that an infeasible probe's first witness fails, and infers
-every other verdict on its path from those probes.
+A probe walks its conditions once, stage conditions first, and reads the
+whole walk: its verdict, its witnesses and whether it is inconclusive.
+Bisection jumps to the two leaves around the root, estimated by Newton's
+method, of the condition that an infeasible probe's first witness fails, and
+infers every other verdict on its path from those probes.
 
 Sign tolerances are asymmetric: >=0 checks allow -1e-12 and <=1 checks allow
 1+1e-12, absorbing the ~1e-16-per-operation perturbation of rational tableaux
@@ -223,7 +222,7 @@ def _condition_rows(M: np.ndarray, W: np.ndarray, r: float) -> np.ndarray:
 
 
 def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
-    """The failed conditions at r, lazily and in report order.
+    """The failed conditions at r, in report order.
 
     A witnessed failure is yielded as the fields of its Violation: a singular
     I + r*A (infeasible, because the conditions need the inverse), then the
@@ -232,10 +231,8 @@ def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
     (label_nonneg, label_bound).  None marks a stage entry or budget that is
     non-finite, or a row the certifier leaves undecided: neither certified nor
     a witness, it makes the probe inconclusive.  Nothing yielded means
-    feasible.  The condition rows are computed only when the reader asks for
-    more than the stage conditions.  Arithmetic that overflows leaves a
-    non-finite entry; readers run the walk under np.errstate, so numpy does
-    not warn.
+    feasible.  Arithmetic that overflows leaves a non-finite entry; _probe
+    runs the walk under np.errstate, so numpy does not warn.
     """
     if r < 0:
         raise InvalidArgumentError("r must be nonnegative")
@@ -346,59 +343,37 @@ def _root_estimate(tab: ButcherTableau, W: np.ndarray, r: float, witness: tuple)
 
 
 class FeasibilityCheck:
-    """The verdict of one probe, read from its failures (_failures).
+    """The verdict of one probe, read from its whole walk of failures
+    (_failures) on construction.
 
-    feasible and witnessed are read on construction, up to the first witness
-    only.  explain() reads the rest, once; violations, singular and
-    inconclusive call it.  Bisection explains only its first infeasible
-    radius, so every other probe builds no Violation and certifies no
-    condition row past its first witness.  root, if given, maps the first
+    violations builds its Violation objects on first access, which
+    bisection makes at one radius only.  root, if given, maps the first
     witness to an estimate of the sup (root_estimate), read only when
     bisection asks for it.
     """
 
     def __init__(self, failures, root=None):
-        walk = iter(failures)
-        read = []
-        for failure in walk:
-            read.append(failure)
-            if failure is not None:
-                break
-        self.feasible = not read
+        self._failures = tuple(failures)
+        self.feasible = not self._failures
         # infeasible without a witness rests on inconclusive entries only
-        self.witnessed = bool(read) and read[-1] is not None
-        self._read, self._walk = read, walk
-        self._first_witness = read[-1] if self.witnessed else None
+        self.witnessed = any(failure is not None for failure in self._failures)
+        self.inconclusive = None in self._failures
         self._root = root
 
     @functools.cached_property
     def root_estimate(self) -> float | None:
         """The radius where the first witness's condition turns, or None."""
-        if self._root is None or self._first_witness is None:
+        if self._root is None or not self.witnessed:
             return None
-        return self._root(self._first_witness)
-
-    def explain(self) -> None:
-        """Read the failures past the first witness, once.  Until then the
-        walk holds the probe's resolvent and stage arrays."""
-        if self._walk is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._read.extend(self._walk)
-            self._walk = None
+        return self._root(next(f for f in self._failures if f is not None))
 
     @functools.cached_property
     def violations(self) -> tuple[Violation, ...]:
-        self.explain()
-        return tuple(Violation(*failure) for failure in self._read if failure is not None)
+        return tuple(Violation(*failure) for failure in self._failures if failure is not None)
 
     @property
     def singular(self) -> bool:
         return bool(self.violations) and self.violations[0].condition == "singular"
-
-    @property
-    def inconclusive(self) -> bool:
-        self.explain()
-        return None in self._read
 
     def __repr__(self) -> str:
         return (
@@ -410,8 +385,8 @@ class FeasibilityCheck:
 @np.errstate(over="ignore", invalid="ignore")
 def _probe(tab: ButcherTableau, W: np.ndarray, r: float, label: str) -> FeasibilityCheck:
     """Stage conditions plus Bernstein-certified nonnegativity on [0,1] of
-    the condition polynomials of W, failing as label_nonneg or label_bound:
-    decided on return, explained on first access (FeasibilityCheck)."""
+    the condition polynomials of W, failing as label_nonneg or label_bound,
+    read whole on return (FeasibilityCheck)."""
     return FeasibilityCheck(
         _failures(tab, W, r, label), functools.partial(_root_estimate, tab, W, r)
     )
@@ -466,8 +441,7 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
     above the sup is post-verified, and a feasible probe there means a
     non-interval set and surfaces as an error rather than a wrong answer.
     For r = 0 that radius is 1e-8; a tol below 1e-10 also bisects (0, 1e-10)
-    when 1e-10 probes infeasible.  Only the verdict of each probe is read,
-    and only the first infeasible one is explained, at once, for
+    when 1e-10 probes infeasible.  The first infeasible probe is kept as
     first_infeasible.  conservative means that some radius was judged
     infeasible without a witness.
     """
@@ -486,12 +460,9 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
         if hi >= R_CAP:
             return SupResult(R_CAP, None, True, conservative)
         lo, hi = hi, min(max(1.0, 2.0 * hi), R_CAP)
-    first_bad.explain()
     # The proven bracket (feasible_max, infeasible_min), the walk's node
-    # (a, b) and the root estimate of the latest infeasible probe.  That
-    # probe is kept only until the next midpoint the loop cannot infer,
-    # where its estimate is read while jumps remain, because an unexplained
-    # probe holds its arrays.
+    # (a, b) and the root estimate of the latest infeasible probe, read at
+    # the next midpoint the loop cannot infer while jumps remain.
     feasible_max, infeasible_min = lo, hi
     latest, estimate, jumps = first_bad, None, 0
     a, b = lo, hi

@@ -21,6 +21,8 @@ import os
 import sys
 import warnings
 
+import numpy as np
+
 from . import poly, registry
 from .certify import DEFAULT_BISECT_TOL, compute_certificate
 from .construct import (
@@ -131,7 +133,7 @@ def _cmd_integrate(args) -> int:
         raise InvalidArgumentError("--dense must be nonnegative")
     problem = get_problem(args.problem)
     traj = integrate_fixed(tab, problem, [args.u0], 0.0, args.h, args.steps)
-    thetas = [i / args.dense for i in range(1, args.dense)]
+    thetas = (np.arange(1, args.dense) / args.dense).tolist()
     print("t,theta_global,u,is_step_point")
     for n in range(args.steps):
         t = n * args.h
@@ -282,7 +284,7 @@ def main(argv=None) -> int:
         )
         try:
             return args.func(args)
-        except (SspdoError, OSError) as exc:
+        except (SspdoError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -68,6 +68,8 @@ class ButcherTableau:
         b = np.array(self.b, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatchError(f"A must be square, got shape {A.shape}")
+        if not len(A):
+            raise DimensionMismatchError("A has no stage")
         if b.shape != (A.shape[0],):
             raise DimensionMismatchError(
                 f"b has shape {b.shape}, expected ({A.shape[0]},)"

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sspdo import construct, registry, tableau
+from sspdo import certify, construct, registry, tableau
 from sspdo.certify import (
     bernstein_matrix,
     condition_map,
@@ -174,6 +174,19 @@ def test_barrier_negative_weight_not_applicable():
     verdict = quadrature_barrier_order3([0.0, 0.5, 1.0], weights)
     assert verdict.kind == "not_applicable"
     assert verdict.witness_theta is not None
+
+
+def test_barrier_weight_undecided_near_zero_not_applicable(monkeypatch):
+    # weight 1 is 0.0026 - 0.01 t + 0.01 t^2 on [0, 0.1]: positive, but its
+    # Bernstein coefficients need subdivision, so at depth 0 it stays undecided
+    weights = DenseWeights([[0.0026, -0.1, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    verdict = quadrature_barrier_order3([0.0, 0.5, 1.0], weights)
+    assert verdict.contradiction
+    assert verdict.failed_relation == "weights must vanish at 0"
+    monkeypatch.setattr(certify, "MAX_DEPTH", 0)
+    verdict = quadrature_barrier_order3([0.0, 0.5, 1.0], weights)
+    assert verdict.kind == "not_applicable"
+    assert verdict.hypothesis == "weight 1 nonnegativity near 0 not certifiable"
 
 
 def test_barrier_contradiction_quadratic_weights():

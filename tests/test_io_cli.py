@@ -274,6 +274,19 @@ def test_empty_dense_weight_rows_exit_code(command, tmp_path, capsys):
     assert "dense weights have no coefficients" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--dense"])
+def test_integrate_allocation_failure_exit_code(flag, capsys):
+    # 10**13 points need 72.8 TiB, so numpy fails at once; never test a size
+    # that fits in memory, as it would really be allocated
+    argv = ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5",
+            "--steps", "10", flag, str(10**13)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_integrate_dense_one_needs_no_weights(capsys):
     # --dense 1 evaluates no point inside a step: the rows of --dense 0
     argv = ["integrate", "--method", "family-s5", "--u0", "0.3", "--h", "0.5", "--steps", "2"]

@@ -62,6 +62,13 @@ def test_dimension_checks():
         validate_tableau([[0, 0], [1, 0]], [1])
 
 
+def test_zero_stage_tableau_rejected(capfd):
+    # certifying it would reach LAPACK with an empty matrix, which prints to stderr
+    with pytest.raises(DimensionMismatchError, match="A has no stage"):
+        ButcherTableau(A=np.zeros((0, 0)), b=np.zeros(0))
+    assert capfd.readouterr() == ("", "")
+
+
 def test_abscissas_recomputed_and_checked():
     tab = validate_tableau([[0, 0], [1, 0]], [0.5, 0.5], c=[0, 1])
     assert np.array_equal(tab.c, [0.0, 1.0])
