@@ -174,32 +174,40 @@ def poly_nonneg_on_unit(coeffs) -> PolyNonnegReport:
     no cell there can certify, and the row would otherwise end inconclusive,
     which fails a probe just as a witness does.  A witness within rounding
     of zero thus marks a row that is not certified, not one proven negative.
+
+    Non-finite coefficients neither raise nor warn.  An infinite coefficient
+    of degree 1 or more makes p(0)'s Bernstein coefficient inf*0 = NaN, and
+    a row with a NaN or such an infinite coefficient, or a constant -inf, is
+    INCONCLUSIVE; a constant +inf with finite other coefficients is NONNEG.
+    Each cell costs one reduction, its minimum, unless it fails.
     """
-    bern = monomial_to_bernstein(poly.as_poly(coeffs))
+    with np.errstate(invalid="ignore", over="ignore"):
+        bern = monomial_to_bernstein(poly.as_poly(coeffs))
     halves = half_cell_matrices(len(bern) - 1)
     stack = [(bern, 0.0, 1.0, 0)]
-    deepest = 0
-    nodes = 0
+    deepest = nodes = 0
     inconclusive = False
     while stack:
         bern, a, b, depth = stack.pop()
         nodes += 1
-        deepest = max(deepest, depth)
-        if np.all(bern >= 0.0):
+        if depth > deepest:
+            deepest = depth
+        lowest = bern.min()  # NaN if any coefficient is NaN
+        if lowest >= 0.0:
             continue
-        if not np.isfinite(bern).all():
+        if not (math.isfinite(lowest) and math.isfinite(bern.max())):
             inconclusive = True
             continue
-        left, right = halves @ bern
+        split = halves @ bern  # the left and right halves' coefficients
         mid = 0.5 * (a + b)
-        for theta, value in ((a, bern[0]), (mid, left[-1]), (b, bern[-1])):
+        for theta, value in (a, bern.item(0)), (mid, split.item(0, -1)), (b, bern.item(-1)):
             if value < 0.0:
-                return PolyNonnegReport(CertStatus.NEGATIVE, theta, float(value), deepest)
+                return PolyNonnegReport(CertStatus.NEGATIVE, theta, value, deepest)
         if depth >= MAX_DEPTH or nodes > MAX_NODES:
             inconclusive = True
             continue
-        stack.append((left, a, mid, depth + 1))
-        stack.append((right, mid, b, depth + 1))
+        stack.append((split[0], a, mid, depth + 1))
+        stack.append((split[1], mid, b, depth + 1))
     if inconclusive:
         return PolyNonnegReport(CertStatus.INCONCLUSIVE, None, None, deepest)
     return PolyNonnegReport(CertStatus.NONNEG, None, None, deepest)
@@ -307,10 +315,10 @@ def _condition_slope(
         row = M_j @ W
         row[0] += GE_TOL
         slope = -(M @ (A @ M_j)) @ W
-    if not (np.isfinite(row).all() and np.isfinite(slope).all()):
+    if not all(map(math.isfinite, row.tolist() + slope.tolist())):
         return math.nan, math.nan
     g, theta = poly.min_on_unit(row)
-    return g, float(poly.evaluate(slope, theta))
+    return g, poly.evaluate(slope, theta)
 
 
 @np.errstate(all="ignore")

@@ -39,23 +39,42 @@ def pad(c: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def evaluate(c, x):
-    return _polynomial().polyval(x, as_poly(c))
+def _horner(c: list, x: float) -> float:
+    """p(x) on Python floats, in the order of operations of
+    numpy.polynomial.polynomial.polyval and so with its bits: c[-1] + x*0,
+    then c[i] + value*x for i from len(c) - 2 down to 0."""
+    value = c[-1] + x * 0
+    for coeff in c[-2::-1]:
+        value = coeff + value * x
+    return value
 
 
-def derivative(c) -> np.ndarray:
-    return _polynomial().polyder(as_poly(c))
+def evaluate(c, x: float) -> float:
+    """p(x) at one float x, bit for bit polyval's value (_horner)."""
+    return _horner(as_poly(c).tolist(), x)
 
 
-def _extremum_candidates(c: np.ndarray) -> list[float]:
+def _extremum_candidates(c: list) -> list[float]:
     """0, 1 and the real critical points of p in (0,1): where p takes its
-    extrema on [0,1]."""
+    extrema on [0,1].
+
+    The derivative is j*c[j], polyder's arithmetic, with zero leading
+    coefficients trimmed as polyroots trims them.  A linear derivative's
+    root is -d0/d1, polyroots' own formula; only a derivative of degree 2
+    or more goes to polyroots."""
     candidates = [0.0, 1.0]
-    d = derivative(c)
-    if len(d) > 1:
-        for root in _polynomial().polyroots(d):
-            if abs(root.imag) < 1e-12 and 0.0 < root.real < 1.0:
-                candidates.append(float(root.real))
+    d = [j * c[j] for j in range(1, len(c))]
+    while len(d) > 1 and d[-1] == 0:
+        d.pop()
+    if len(d) == 2:
+        roots = [-d[0] / d[1]]
+    elif len(d) > 2:
+        roots = _polynomial().polyroots(d)
+    else:
+        roots = []
+    for root in roots:
+        if abs(root.imag) < 1e-12 and 0.0 < root.real < 1.0:
+            candidates.append(float(root.real))
     return candidates
 
 
@@ -64,25 +83,24 @@ def max_abs_on_unit(c) -> tuple[float, float]:
 
     Returns (max value, argmax).
     """
-    c = as_poly(c)
+    c = as_poly(c).tolist()
     candidates = _extremum_candidates(c)
-    values = [abs(float(evaluate(c, x))) for x in candidates]
+    values = [abs(_horner(c, x)) for x in candidates]
     k = int(np.argmax(values))
     return values[k], candidates[k]
 
 
 def min_on_unit(c) -> tuple[float, float]:
     """Exact min of p on [0,1], from the same candidates as max_abs_on_unit.
-    The coefficients must be finite.
+    The coefficients must be finite: then no value is NaN, as x lies in
+    [0,1], and min picks the first least value, as np.argmin would.
 
     Returns (min value, argmin).
     """
-    c = as_poly(c)
-    if len(c) == 1:  # a stage or method condition, constant in theta
-        return float(c[0]), 0.0
+    c = as_poly(c).tolist()
     candidates = _extremum_candidates(c)
-    values = [float(evaluate(c, x)) for x in candidates]
-    k = int(np.argmin(values))
+    values = [_horner(c, x) for x in candidates]
+    k = min(range(len(values)), key=values.__getitem__)
     return values[k], candidates[k]
 
 

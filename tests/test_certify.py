@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -737,6 +738,149 @@ def test_row_touching_zero_inside_the_interval_is_decided(monkeypatch):
     result = dense_ssp_coefficient_detailed(tab, DenseWeights(W))
     assert result.value == 0.15373354367061254
     assert not result.conservative
+
+
+def _reference_cell_loop(coeffs):
+    # the cell loop as it read before its per-cell work was cut to one
+    # reduction: the same verdicts, witnesses and depths, bit for bit
+    with np.errstate(invalid="ignore", over="ignore"):
+        bern = monomial_to_bernstein(poly.as_poly(coeffs))
+    halves = half_cell_matrices(len(bern) - 1)
+    stack = [(bern, 0.0, 1.0, 0)]
+    deepest = 0
+    nodes = 0
+    inconclusive = False
+    while stack:
+        bern, a, b, depth = stack.pop()
+        nodes += 1
+        deepest = max(deepest, depth)
+        if np.all(bern >= 0.0):
+            continue
+        if not np.isfinite(bern).all():
+            inconclusive = True
+            continue
+        left, right = halves @ bern
+        mid = 0.5 * (a + b)
+        for theta, value in ((a, bern[0]), (mid, left[-1]), (b, bern[-1])):
+            if value < 0.0:
+                return certify.PolyNonnegReport(
+                    CertStatus.NEGATIVE, theta, float(value), deepest
+                )
+        if depth >= certify.MAX_DEPTH or nodes > certify.MAX_NODES:
+            inconclusive = True
+            continue
+        stack.append((left, a, mid, depth + 1))
+        stack.append((right, mid, b, depth + 1))
+    status = CertStatus.INCONCLUSIVE if inconclusive else CertStatus.NONNEG
+    return certify.PolyNonnegReport(status, None, None, deepest)
+
+
+def _cell_loop_rows(seed=23):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for degree in range(9):  # random rows, some scaled far from 1
+        for _ in range(40):
+            rows.append(rng.normal(size=degree + 1) * 10.0 ** rng.integers(-6, 7))
+    P = np.polynomial.polynomial
+    for _ in range(40):  # (theta - a)^2 +- eps, alone and times a cubic factor
+        a = rng.uniform(0.0, 1.0)
+        tangent = P.polyfromroots([a, a])
+        for eps in (0.0, 1e-17, 1e-15, 1e-12, 1e-9):
+            for sign in (1.0, -1.0):
+                row = tangent.copy()
+                row[0] += sign * eps
+                rows.append(row)
+                rows.append(P.polymul(row, P.polyfromroots(rng.uniform(1.0, 2.0, 3))))
+    for degree in range(1, 9):  # conversions that overflow to +-inf
+        rows.append(np.r_[-1.0, np.full(degree, 1.5e308)])
+        rows.append(rng.uniform(-1.0, 1.0, degree + 1) * 1.7e308)
+    for row in rows[:: 7]:  # a NaN or an infinity in some coefficient
+        for bad in (math.nan, math.inf, -math.inf):
+            row = row.copy()
+            row[rng.integers(len(row))] = bad
+            rows.append(row)
+    return rows
+
+
+def _same_report(row):
+    got, want = poly_nonneg_on_unit(row), _reference_cell_loop(row)
+    assert (got.certified, got.witness_theta, repr(got.witness_value), got.depth) == (
+        want.certified,
+        want.witness_theta,
+        repr(want.witness_value),
+        want.depth,
+    ), row
+    return got.certified
+
+
+@pytest.mark.parametrize(
+    "max_nodes,max_depth",
+    [(None, None), (20, 10**6), (200_000, 3), (7, 40), (60, 9)],
+    ids=["defaults", "nodes-20", "depth-3", "nodes-7", "nodes-60-depth-9"],
+)
+def test_cell_loop_matches_the_reference(monkeypatch, max_nodes, max_depth):
+    if max_nodes is not None:
+        monkeypatch.setattr(certify, "MAX_NODES", max_nodes)
+        monkeypatch.setattr(certify, "MAX_DEPTH", max_depth)
+    verdicts = {_same_report(row) for row in _cell_loop_rows()}
+    # the rows reach every verdict
+    assert verdicts == set(CertStatus)
+
+
+def test_nonfinite_row_is_inconclusive_without_a_warning():
+    # an infinite coefficient of degree >= 1 makes inf*0 = NaN in the
+    # conversion; a constant +inf is nonnegative everywhere
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row in ([1.0, math.inf], [0.0, -math.inf, 1.0], [math.nan, 1.0], [-math.inf]):
+            assert poly_nonneg_on_unit(row).certified is CertStatus.INCONCLUSIVE
+        assert poly_nonneg_on_unit([math.inf]).certified is CertStatus.NONNEG
+
+
+def _numpy_min_on_unit(c):
+    # the minimum read through numpy.polynomial: polyder, polyroots, polyval
+    P = np.polynomial.polynomial
+    candidates = [0.0, 1.0]
+    d = P.polyder(c)
+    if len(d) > 1:
+        for root in P.polyroots(d):
+            if abs(root.imag) < 1e-12 and 0.0 < root.real < 1.0:
+                candidates.append(float(root.real))
+    values = [float(P.polyval(x, c)) for x in candidates]
+    k = int(np.argmin(values))
+    return values[k], candidates[k]
+
+
+def _newton_rows(seed=5):
+    rng = np.random.default_rng(seed)
+    rows = [rng.normal(size=degree + 1) for degree in range(1, 6) for _ in range(60)]
+    rows += [
+        np.array([0.5, -1.0, 0.0]),  # zero leading derivative: linear
+        np.array([0.5, 0.3, -1.2, 0.0]),  # cubic slot zero: linear derivative
+        np.array([0.5, 0.3, -1.2, -0.0, 0.0]),  # signed zeros trimmed too
+        np.array([1.0, 0.0, 0.0]),  # constant derivative zero
+        np.array([0.2, 0.0, 1.0]),  # derivative root at 0
+        np.array([0.2, 0.0, 0.0, -1.0]),  # double root at 0
+        np.array([0.3, -2.0, 1.0]),  # derivative root at 1
+        np.array([-1.0, 3.0, -3.0, 1.0]),  # (theta - 1)^3: double root at 1
+        np.array([0.0, 0.25, -1.5, 3.0, -2.0, 0.25]),
+    ]
+    return rows
+
+
+def test_min_on_unit_matches_numpy_polynomial():
+    for c in _newton_rows():
+        assert repr(poly.min_on_unit(c)) == repr(_numpy_min_on_unit(c)), c
+
+
+def test_horner_evaluation_matches_polyval():
+    rng = np.random.default_rng(6)
+    xs = [0.0, 1.0, 0.5, *rng.uniform(0.0, 1.0, 20).tolist()]
+    rows = _newton_rows() + [np.array([-0.0]), np.array([2.5]), np.array([1.0, -0.0])]
+    for c in rows:
+        for x in xs + [_numpy_min_on_unit(c)[1]]:
+            want = np.polynomial.polynomial.polyval(x, c)
+            assert repr(poly.evaluate(c, x)) == repr(float(want)), (c, x)
 
 
 # ------------------------------------------------------------------ xineq
