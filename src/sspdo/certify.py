@@ -20,9 +20,9 @@ Bisection jumps to the two leaves around the root, estimated by Newton's
 method, of the condition that an infeasible probe's first witness fails, and
 infers every other verdict on its path from those probes.
 
-Sign tolerances are asymmetric: >=0 checks allow -1e-12 and <=1 checks allow
-1+1e-12, absorbing the ~1e-16-per-operation perturbation of rational tableaux
-stored in double precision.
+One sign slack, SIGN_TOL = 1e-12, serves every condition: >=0 checks allow
+-1e-12 and <=1 checks allow 1+1e-12, absorbing the ~1e-16-per-operation
+perturbation of rational tableaux stored in double precision.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from .errors import (
 )
 from .tableau import ButcherTableau, DenseWeights, check_stage_count
 
-GE_TOL = 1e-12          # slack allowed on the >= 0 side
-LE_TOL = 1e-12          # slack allowed on the <= 1 side
+SIGN_TOL = 1e-12        # slack allowed on both sides: >= -1e-12 and <= 1 + 1e-12
 PIVOT_TOL = 1e-12
 DEFAULT_BISECT_TOL = 1e-10
 R_CAP = 1e6
@@ -175,10 +174,14 @@ def poly_nonneg_on_unit(coeffs) -> PolyNonnegReport:
     which fails a probe just as a witness does.  A witness within rounding
     of zero thus marks a row that is not certified, not one proven negative.
 
-    Non-finite coefficients neither raise nor warn.  An infinite coefficient
-    of degree 1 or more makes p(0)'s Bernstein coefficient inf*0 = NaN, and
-    a row with a NaN or such an infinite coefficient, or a constant -inf, is
-    INCONCLUSIVE; a constant +inf with finite other coefficients is NONNEG.
+    Non-finite coefficients neither raise nor warn, and a witness value is
+    always finite.  A cell with a non-finite Bernstein coefficient is
+    witnessed by p(a) if that is finite and negative, as p(0) = c0 = -1e308
+    is for [-1e308, -1e308], whose conversion overflows p(1) to -inf, and is
+    inconclusive otherwise.  An infinite coefficient of degree 1 or more
+    makes p(0)'s Bernstein coefficient inf*0 = NaN, and a row with a NaN or
+    such an infinite coefficient, or a constant -inf, is INCONCLUSIVE; a
+    constant +inf with finite other coefficients is NONNEG.
     Each cell costs one reduction, its minimum, unless it fails.
     """
     with np.errstate(invalid="ignore", over="ignore"):
@@ -196,6 +199,9 @@ def poly_nonneg_on_unit(coeffs) -> PolyNonnegReport:
         if lowest >= 0.0:
             continue
         if not (math.isfinite(lowest) and math.isfinite(bern.max())):
+            first = bern.item(0)  # p(a), finite where only later ones overflowed
+            if -math.inf < first < 0.0:
+                return PolyNonnegReport(CertStatus.NEGATIVE, a, first, deepest)
             inconclusive = True
             continue
         split = halves @ bern  # the left and right halves' coefficients
@@ -253,8 +259,8 @@ def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
     budgets = r * (AM @ np.ones(tab.s))
     # a non-finite entry leaves its row's budget non-finite too
     inconclusive = not np.isfinite(budgets).all()
-    bad = AM < -GE_TOL
-    over = budgets > 1.0 + LE_TOL
+    bad = AM < -SIGN_TOL
+    over = budgets > 1.0 + SIGN_TOL
     if inconclusive:
         bad &= np.isfinite(AM)
         over &= np.isfinite(budgets)
@@ -265,11 +271,10 @@ def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
         yield ("stage_bound", (i + 1,), float(budgets[i]), None)
     if inconclusive:
         yield None
+    # The stage checks' sign slack, folded into every constant coefficient
+    # (the budget's after its 1.0) before certification.
     rows = _condition_rows(M, W, r)
-    # Same sign slack as the stage checks: >=0 allows -GE_TOL and <=1 allows
-    # 1+LE_TOL, folded into the constant coefficient before certification.
-    rows[:-1, 0] += GE_TOL
-    rows[-1, 0] += LE_TOL
+    rows[:, 0] += SIGN_TOL
     # Nonnegative Bernstein coefficients certify a row; NaN fails this test.
     certified = (monomial_to_bernstein(rows) >= 0.0).all(axis=1)
     for j in np.flatnonzero(~certified).tolist():
@@ -308,12 +313,12 @@ def _condition_slope(
     if index is None:  # the budget: 1 - r (Me)'W
         Me = M @ np.ones(tab.s)
         row = -r * (Me @ W)
-        row[0] += 1.0 + LE_TOL
+        row[0] += 1.0 + SIGN_TOL
         slope = -(Me - r * (M @ (A @ Me))) @ W
     else:  # the transformed weight (M'W)_j
         M_j = M[:, index[0] - 1]
         row = M_j @ W
-        row[0] += GE_TOL
+        row[0] += SIGN_TOL
         slope = -(M @ (A @ M_j)) @ W
     if not all(map(math.isfinite, row.tolist() + slope.tolist())):
         return math.nan, math.nan
@@ -536,10 +541,16 @@ def dense_ssp_coefficient_detailed(
     return _sup_by_bisection(lambda r: monotonicity_feasible_dense(tab, weights, r), tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gamma_at(tab: ButcherTableau, r: float) -> float:
-    """b'(I + r*A)^{-1} e, the weight-budget total at radius r."""
+    """b'(I + r*A)^{-1} e, the weight-budget total at radius r.  A total
+    that overflows to inf or NaN raises InvalidArgumentError, without a
+    numpy warning."""
     M = resolvent(tab, r)
-    return float(tab.b @ M @ np.ones(tab.s))
+    gamma = float(tab.b @ M @ np.ones(tab.s))
+    if not math.isfinite(gamma):
+        raise InvalidArgumentError(f"gamma at r={r} is not finite")
+    return gamma
 
 
 @dataclass(frozen=True)

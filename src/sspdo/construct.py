@@ -5,8 +5,8 @@ linearly in theta always keeps the full SSP coefficient at first order, and a
 quadratic recipe gives second order whenever the first row of A is zero.  For
 anything else, lp_search solves max-margin LPs over the free polynomial
 coefficients with scipy's HiGHS solver.  A Bernstein restriction (nonnegative
-Bernstein coefficients after degree elevation, or its vertex where it keeps no
-margin) yields weights that satisfy the conditions for every theta; a
+Bernstein coefficients after degree elevation, or its vertex where its margin
+point fails) yields weights that satisfy the conditions for every theta; a
 collocation relaxation (conditions at finitely many theta) can prove that no
 weights exist.  Every candidate is certified in the Bernstein basis before it
 is reported, so the verdict is "feasible" with certified weights, "infeasible",
@@ -23,6 +23,7 @@ import numpy as np
 from . import poly
 from .certify import (
     MAX_DEGREE,
+    SIGN_TOL,
     CertStatus,
     bernstein_matrix,
     condition_map,
@@ -342,7 +343,7 @@ def _prescreen(tab, order, degree, r, check) -> PrescreenViolation | None:
         # s/(2(s-1)) in [1/2, 1] for every s >= 2, must respect 1/r.
         theta_star = s / (2.0 * (s - 1.0))
         peak = theta_star - (s - 1.0) / s * theta_star**2
-        if peak > 1.0 / r + 1e-12:
+        if peak > 1.0 / r + SIGN_TOL:
             return PrescreenViolation(
                 condition="family-quadratic-peak",
                 detail="the unique quadratic candidate exceeds the step "
@@ -436,16 +437,16 @@ def _margin_rows(problem: LpProblem) -> np.ndarray:
     return np.linalg.norm(A - (A @ Q) @ Q.T, axis=1) > 1e-9 * np.linalg.norm(A, axis=1)
 
 
-def _solve_lp(problem: LpProblem, margin: bool = True) -> tuple[DenseWeights | None, float]:
-    """Weights (None if infeasible) and margin of the LP over free coefficients,
-    with the margin on _margin_rows maximized, or at a vertex if not margin."""
+def _solve_lp(problem: LpProblem, margin: bool = True) -> DenseWeights | None:
+    """Weights of the LP over free coefficients (None if infeasible), with
+    the margin on _margin_rows maximized, or at a vertex if not margin."""
     mask = _margin_rows(problem) if margin else None
     result = phase1_feasible(problem.A_eq, problem.b_eq, problem.A_ub, problem.b_ub, mask)
     if not result.feasible:
-        return None, 0.0
+        return None
     coeffs = np.zeros((problem.s, problem.degree + 1))
     coeffs[:, 1:] = result.x.reshape(problem.s, problem.degree)
-    return DenseWeights(coeffs), result.margin
+    return DenseWeights(coeffs)
 
 
 def _certify_candidate(tab, weights, order, r) -> bool:
@@ -476,7 +477,7 @@ def lp_search(
        have nonnegative Bernstein coefficients at degree D + ELEVATION, which
        implies the continuous conditions; its max-margin point (_solve_lp)
        that certifies is "feasible", and so is its vertex if that point fails
-       with margin <= 0;
+       certification;
     2. the relaxation at D + ELEVATION + 1 collocation points: infeasible
        means "infeasible", a point that certifies is "feasible", and any
        other point leaves the verdict "inconclusive".
@@ -507,15 +508,14 @@ def lp_search(
     relaxation = build_lp(tab, order, degree, r)
     restriction = replace(relaxation, basis=_bernstein_basis(degree))
     try:
-        weights, margin = _solve_lp(restriction)
-        certified = weights is not None and _certify_candidate(tab, weights, order, r)
-        if weights is not None and margin <= 0 and not certified:
-            # some rows must touch zero (at r = C, say); try the vertex
-            weights, _ = _solve_lp(restriction, margin=False)
-            certified = weights is not None and _certify_candidate(tab, weights, order, r)
-        if certified:
-            return SearchResult("feasible", weights)
-        weights, _ = _solve_lp(relaxation)
+        # a vertex certifies where some rows must touch zero (at r = C, say)
+        for margin in (True, False):
+            weights = _solve_lp(restriction, margin)
+            if weights is None:
+                break
+            if _certify_candidate(tab, weights, order, r):
+                return SearchResult("feasible", weights)
+        weights = _solve_lp(relaxation)
     except NumericalCycleError:
         # An LP the solver stopped without a verdict decides nothing.
         return SearchResult("inconclusive", None)

@@ -324,8 +324,7 @@ def test_batched_probe_matches_per_row_certifier(seed):
     weights = DenseWeights(coeffs)
     for r in (0.5, 1.5, 2.5, 3.0):
         rows = certify._condition_rows(resolvent(tab, r), weights.coeffs, r)
-        rows[:-1, 0] += certify.GE_TOL
-        rows[-1, 0] += certify.LE_TOL
+        rows[:, 0] += certify.SIGN_TOL
         expected = all(
             poly_nonneg_on_unit(row).certified is CertStatus.NONNEG for row in rows
         )
@@ -757,6 +756,8 @@ def _reference_cell_loop(coeffs):
         if np.all(bern >= 0.0):
             continue
         if not np.isfinite(bern).all():
+            if np.isfinite(bern[0]) and bern[0] < 0.0:
+                return certify.PolyNonnegReport(CertStatus.NEGATIVE, a, float(bern[0]), deepest)
             inconclusive = True
             continue
         left, right = halves @ bern
@@ -835,6 +836,19 @@ def test_nonfinite_row_is_inconclusive_without_a_warning():
         for row in ([1.0, math.inf], [0.0, -math.inf, 1.0], [math.nan, 1.0], [-math.inf]):
             assert poly_nonneg_on_unit(row).certified is CertStatus.INCONCLUSIVE
         assert poly_nonneg_on_unit([math.inf]).certified is CertStatus.NONNEG
+
+
+def test_overflowing_conversion_keeps_a_finite_witness_at_zero():
+    # the conversion overflows p(1) to -inf, yet p(0) = c0 = -1e308 is a
+    # finite negative value; NaN and -inf at theta = 0 stay inconclusive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = poly_nonneg_on_unit([-1e308, -1e308])
+        assert (report.certified, report.witness_theta, report.witness_value) == (
+            CertStatus.NEGATIVE, 0.0, -1e308,
+        )
+        for row in ([-math.inf, -1e308], [math.nan, -1e308], [1.0, -1e308, -1e308]):
+            assert poly_nonneg_on_unit(row).certified is CertStatus.INCONCLUSIVE
 
 
 def _numpy_min_on_unit(c):
@@ -973,6 +987,17 @@ def test_exactly_singular_resolvent_raises(A, r):
     with pytest.raises(SingularMatrixError) as info:
         resolvent(tab, r)
     assert str(info.value) == f"I + {r}*A is singular"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_gamma_raises():
+    # b'e = 1e308 + 1e308 overflows at r = 0: a typed error, not an inf
+    # gamma in the certificate and a numpy warning
+    tab = ButcherTableau(A=np.array([[0.0, 0.0], [1.0, 0.0]]), b=np.array([1e308, 1e308]))
+    with pytest.raises(InvalidArgumentError, match=r"gamma at r=0\.0 is not finite"):
+        gamma_at(tab, 0.0)
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        compute_certificate(tab)
 
 
 def test_near_singular_resolvent_raises_on_pivot():

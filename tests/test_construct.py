@@ -303,10 +303,8 @@ def test_lp_search_margin_point_certifies(s, order, degree, r):
     assert result.status == "feasible" and result.certified
 
 
-@pytest.mark.parametrize("s, degree", [(5, 5), (8, 6)])
-def test_lp_search_without_margin_falls_back_to_a_vertex(monkeypatch, s, degree):
-    # at r = C the restriction keeps no margin and its margin point fails
-    # certification; the vertex of the same LP without a margin column certifies
+def _record_margins(monkeypatch) -> list:
+    # the margin of every LP solve in order, None for a solve without one
     margins = []
     original = construct.phase1_feasible
 
@@ -316,9 +314,38 @@ def test_lp_search_without_margin_falls_back_to_a_vertex(monkeypatch, s, degree)
         return result
 
     monkeypatch.setattr(construct, "phase1_feasible", recording)
+    return margins
+
+
+@pytest.mark.parametrize("s, degree", [(5, 5), (6, 6), (7, 6), (8, 6)])
+def test_lp_search_without_margin_falls_back_to_a_vertex(monkeypatch, s, degree):
+    # at r = C the restriction keeps no margin and its margin point fails
+    # certification; the vertex of the same LP without a margin column certifies
+    margins = _record_margins(monkeypatch)
     result = lp_search(family_tableau(s), order=2, degree=degree, r=float(s - 1))
     assert result.status == "feasible" and result.certified
     assert len(margins) == 2 and margins[0] <= 0 and margins[1] is None
+
+
+@pytest.mark.parametrize("method", ["family-s3", "ssp322"])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_lp_search_just_below_c_falls_back_to_a_vertex(monkeypatch, method, degree):
+    # at r = C - 1e-9 on these C = 2 methods only the vertex certifies too
+    margins = _record_margins(monkeypatch)
+    result = lp_search(registry.get(method).tableau, order=2, degree=degree, r=2.0 - 1e-9)
+    assert result.status == "feasible" and result.certified
+    assert len(margins) == 2 and margins[0] <= 0 and margins[1] is None
+
+
+def test_lp_search_tries_the_vertex_wherever_the_margin_point_fails(monkeypatch):
+    # the restriction keeps a margin of 8.3e-11, yet its margin point fails
+    # certification: the vertex is tried too, and when it fails as well the
+    # relaxation's point leaves the search inconclusive
+    margins = _record_margins(monkeypatch)
+    result = lp_search(family_tableau(4), order=2, degree=4, r=3.0 - 1e-9)
+    assert result.status == "inconclusive" and result.weights is None
+    assert len(margins) == 3 and margins[0] > 0 and margins[1] is None
+    assert margins[2] is not None
 
 
 def test_margin_skips_the_rows_the_pins_fix():

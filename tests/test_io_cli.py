@@ -780,6 +780,21 @@ def test_overflowing_stage_record_is_strict_json(tmp_path, capsys):
     assert "stage_nonneg" not in {w["condition"] for w in record["witnesses"]}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_dense_row_keeps_its_witness_at_zero(tmp_path, capsys):
+    # w_1 = -1e308 (1 + theta) converts with p(1) = -inf, yet p(0) = -1e308
+    # is a finite witness, so the certificate is not conservative
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"A": [[0, 0], [1, 0]], "b": ["1/2", "1/2"], "bbar": [[-1e308, -1e308], [0, 0.5]]}
+    ))
+    assert main(["certify", "--tableau", str(path), "--dense", "--format", "record"]) == 0
+    record = _strict_json(capsys.readouterr().out)
+    assert record["conservative"] is False
+    witness = {"condition": "dense_nonneg", "index": [1], "value": -1e308, "theta": 0.0}
+    assert witness in record["witnesses"]
+
+
 _OVERFLOWING = {
     "A": [[0, 0, 0], [1e160, 0, 0], [0, 1e160, 0]],
     "b": ["1/3", "1/3", "1/3"],
@@ -831,6 +846,19 @@ def test_overflowing_tableau_leaks_no_numpy_warning(argv, code, tmp_path, capsys
         assert line.startswith(("error:", "warning:")), line
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["record", "human"])
+def test_overflowing_gamma_is_a_usage_error(fmt, tmp_path, capsys):
+    # gamma = b'e overflows to inf at r = 0: one error line, no Infinity in a
+    # record and no numpy warning
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"A": [[0, 0], [1, 0]], "b": [1e308, 1e308]}))
+    assert main(["certify", "--tableau", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: gamma at r=0.0 is not finite\n"
+    assert captured.out == ""
+
+
 def test_library_warning_is_one_stderr_line(capsys):
     argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4.5"]
     assert main(argv) == 0
@@ -861,7 +889,8 @@ def test_figure1_record_and_determinism(tmp_path, capsys):
     for name in ("ssp.csv", "nonssp.csv"):
         with open(out1 / name, "rb") as f1, open(out2 / name, "rb") as f2:
             assert f1.read() == f2.read()
-    header = open(out1 / "ssp.csv").readline().strip()
+    with open(out1 / "ssp.csv") as f:
+        header = f.readline().strip()
     assert header == "u0,t,theta,u,formula"
 
 
@@ -922,7 +951,8 @@ README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
 def _readme_commands() -> list[list[str]]:
-    text = open(README, encoding="utf-8").read()
+    with open(README, encoding="utf-8") as f:
+        text = f.read()
     block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
 
