@@ -31,6 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +98,7 @@ def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
     return lapack.dgetri(lu, piv)[0]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed inequality: which condition, where, and the offending value
     (None for a singular I + r*A, which has no value)."""
 
@@ -137,8 +137,10 @@ def bernstein_matrix(n: int) -> np.ndarray:
 def monomial_to_bernstein(coeffs: np.ndarray) -> np.ndarray:
     """Bernstein coefficients on [0,1] of a polynomial given in the monomial
     basis, or of each row of a matrix of such polynomials; degree <= MAX_DEGREE."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    c = np.asarray(coeffs, dtype=float)
     degree = c.shape[-1] - 1
+    if degree < 0:
+        raise InvalidArgumentError("polynomial has no coefficients")
     if degree > MAX_DEGREE:
         raise DegreeTooHighError(f"degree {degree} exceeds {MAX_DEGREE}")
     return c @ bernstein_matrix(degree).T
@@ -183,9 +185,23 @@ def poly_nonneg_on_unit(coeffs) -> PolyNonnegReport:
     such an infinite coefficient, or a constant -inf, is INCONCLUSIVE; a
     constant +inf with finite other coefficients is NONNEG.
     Each cell costs one reduction, its minimum, unless it fails.
+
+    A constant row [c0] is decided by its sign, with the report its one cell
+    would give at depth 0 and no conversion: c0 >= 0.0 (-0.0 and +inf
+    included) is NONNEG, a finite negative c0 is NEGATIVE at theta = 0 with
+    value c0, and NaN or -inf is INCONCLUSIVE.  Every weight row of a
+    method probe is such a row.  An empty row raises InvalidArgumentError.
     """
+    c = poly.as_poly(coeffs)
+    if len(c) == 1:
+        c0 = c.item(0)
+        if c0 >= 0.0:
+            return PolyNonnegReport(CertStatus.NONNEG, None, None, 0)
+        if -math.inf < c0:
+            return PolyNonnegReport(CertStatus.NEGATIVE, 0.0, c0, 0)
+        return PolyNonnegReport(CertStatus.INCONCLUSIVE, None, None, 0)
     with np.errstate(invalid="ignore", over="ignore"):
-        bern = monomial_to_bernstein(poly.as_poly(coeffs))
+        bern = monomial_to_bernstein(c)
     halves = half_cell_matrices(len(bern) - 1)
     stack = [(bern, 0.0, 1.0, 0)]
     deepest = nodes = 0
@@ -219,11 +235,25 @@ def poly_nonneg_on_unit(coeffs) -> PolyNonnegReport:
     return PolyNonnegReport(CertStatus.NONNEG, None, None, deepest)
 
 
+@functools.lru_cache(maxsize=None)
+def _ones(s: int) -> np.ndarray:
+    """Read-only vector e of s ones, one per stage count: a probe sums rows
+    as products with e, in place of a fresh np.ones(s) at each call."""
+    out = np.ones(s)
+    out.setflags(write=False)
+    return out
+
+
 def condition_map(M: np.ndarray, r: float) -> np.ndarray:
     """The (s+1) x s linear part [M'; -r (Me)'] of the condition rows at r,
     with M the resolvent at r: applied to stage weights w, the transformed
     weights M'w and the budget term -r e'M'w."""
-    return np.vstack([M.T, -r * (M @ np.ones(len(M)))])
+    s = len(M)
+    out = np.empty((s + 1, s))
+    out[:s] = M.T
+    out[s] = M @ _ones(s)
+    out[s] *= -r
+    return out
 
 
 def _condition_rows(M: np.ndarray, W: np.ndarray, r: float) -> np.ndarray:
@@ -256,7 +286,7 @@ def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
         yield ("singular", None, None, None)
         return
     AM = tab.A @ M
-    budgets = r * (AM @ np.ones(tab.s))
+    budgets = r * (AM @ _ones(tab.s))
     # a non-finite entry leaves its row's budget non-finite too
     inconclusive = not np.isfinite(budgets).all()
     bad = AM < -SIGN_TOL
@@ -264,11 +294,13 @@ def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
     if inconclusive:
         bad &= np.isfinite(AM)
         over &= np.isfinite(budgets)
-    bad_rows, bad_cols = np.nonzero(bad)
-    for i, j, value in zip(bad_rows.tolist(), bad_cols.tolist(), AM[bad].tolist()):
-        yield ("stage_nonneg", (i + 1, j + 1), value, None)
-    for i in np.flatnonzero(over).tolist():
-        yield ("stage_bound", (i + 1,), float(budgets[i]), None)
+    if bad.any():
+        bad_rows, bad_cols = np.nonzero(bad)
+        for i, j, value in zip(bad_rows.tolist(), bad_cols.tolist(), AM[bad].tolist()):
+            yield ("stage_nonneg", (i + 1, j + 1), value, None)
+    if over.any():
+        for i in np.flatnonzero(over).tolist():
+            yield ("stage_bound", (i + 1,), float(budgets[i]), None)
     if inconclusive:
         yield None
     # The stage checks' sign slack, folded into every constant coefficient
@@ -276,8 +308,10 @@ def _failures(tab: ButcherTableau, W: np.ndarray, r: float, label: str):
     rows = _condition_rows(M, W, r)
     rows[:, 0] += SIGN_TOL
     # Nonnegative Bernstein coefficients certify a row; NaN fails this test.
-    certified = (monomial_to_bernstein(rows) >= 0.0).all(axis=1)
-    for j in np.flatnonzero(~certified).tolist():
+    nonneg = monomial_to_bernstein(rows) >= 0.0
+    if nonneg.all():
+        return
+    for j in np.flatnonzero(~nonneg.all(axis=1)).tolist():
         report = poly_nonneg_on_unit(rows[j])
         if report.certified is CertStatus.NEGATIVE:
             if j < tab.s:
@@ -311,7 +345,7 @@ def _condition_slope(
     if condition.startswith("stage"):
         W, index = A[index[0] - 1][:, None], index[1:] or None
     if index is None:  # the budget: 1 - r (Me)'W
-        Me = M @ np.ones(tab.s)
+        Me = M @ _ones(tab.s)
         row = -r * (Me @ W)
         row[0] += 1.0 + SIGN_TOL
         slope = -(Me - r * (M @ (A @ Me))) @ W
@@ -489,7 +523,9 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
         inside = estimate is not None and feasible_max < estimate < infeasible_min
         if inside and jumps < GUIDED_JUMPS:
             jumps += 1
-            radii = _leaves(lo, hi, tol, estimate)
+            # the estimate lies inside [a, b], on plain bisection's path
+            # from (lo, hi), so the walk's node leads to the same leaves
+            radii = _leaves(a, b, tol, estimate)
         else:
             radii = (mid,)
         for r in radii:
@@ -547,7 +583,7 @@ def gamma_at(tab: ButcherTableau, r: float) -> float:
     that overflows to inf or NaN raises InvalidArgumentError, without a
     numpy warning."""
     M = resolvent(tab, r)
-    gamma = float(tab.b @ M @ np.ones(tab.s))
+    gamma = float(tab.b @ M @ _ones(tab.s))
     if not math.isfinite(gamma):
         raise InvalidArgumentError(f"gamma at r={r} is not finite")
     return gamma

@@ -27,6 +27,8 @@ def as_poly(coeffs) -> np.ndarray:
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if c.ndim != 1:
         raise InvalidArgumentError("polynomial coefficients must be one-dimensional")
+    if not len(c):
+        raise InvalidArgumentError("polynomial has no coefficients")
     return c
 
 

@@ -1,3 +1,5 @@
+import collections
+import inspect
 import math
 import os
 import subprocess
@@ -11,6 +13,7 @@ from sspdo import certify, poly, registry
 from sspdo.certify import (
     CertStatus,
     FeasibilityCheck,
+    Violation,
     _sup_by_bisection,
     bernstein_matrix,
     check_xineq,
@@ -59,8 +62,18 @@ _SSP222 = registry.get("ssp222")
         lambda: check_xineq(_SSP222.tableau, r=0.0),
         lambda: chebyshev_lobatto(1),
         lambda: poly.as_poly([[1.0, 2.0]]),
+        lambda: poly_nonneg_on_unit([]),
+        lambda: poly.min_on_unit([]),
+        lambda: poly.evaluate([], 0.5),
+        lambda: poly.max_abs_on_unit([]),
+        lambda: monomial_to_bernstein([]),
+        lambda: monomial_to_bernstein(np.zeros((3, 0))),
     ],
-    ids=["method-r", "dense-r", "xineq-r", "chebyshev-n", "as-poly-2d"],
+    ids=[
+        "method-r", "dense-r", "xineq-r", "chebyshev-n", "as-poly-2d",
+        "empty-nonneg", "empty-min", "empty-evaluate", "empty-max-abs",
+        "empty-bernstein", "empty-bernstein-rows",
+    ],
 )
 def test_bad_argument_is_a_package_error(call):
     # still a ValueError, for callers that catch that
@@ -137,6 +150,19 @@ def test_bisection_rejects_bad_tolerance(tol):
 
 
 _WITNESS = ("stage_bound", (1,), 2.0, None)  # the fields of a Violation
+
+
+def test_violation_fields_repr_and_immutability():
+    assert list(inspect.signature(Violation).parameters) == [
+        "condition", "index", "value", "theta",
+    ]
+    violation = Violation(*_WITNESS[:3])
+    assert repr(violation) == (
+        "Violation(condition='stage_bound', index=(1,), value=2.0, theta=None)"
+    )
+    for name in ("condition", "index", "value", "theta"):
+        with pytest.raises(AttributeError):
+            setattr(violation, name, None)
 
 
 def _check(feasible):
@@ -294,6 +320,31 @@ def _count_subdivisions(monkeypatch):
 
     monkeypatch.setattr(certify, "poly_nonneg_on_unit", counting)
     return calls
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: monotonicity_feasible_method(_SSP222.tableau, 2.0),
+        lambda: monotonicity_feasible_dense(
+            registry.get("ssp322").tableau, registry.get("ssp322").dense_weights, 2.5
+        ),
+    ],
+    ids=["method-ssp222", "dense-ssp322"],
+)
+def test_infeasible_probe_reaches_every_traced_layer(monkeypatch, probe):
+    # the benchmark's tracer wraps these names in certify's globals: a probe
+    # that bypasses one of them leaves that layer empty
+    calls = collections.Counter()
+    for name in ("resolvent", "monomial_to_bernstein", "poly_nonneg_on_unit"):
+
+        def counting(*args, _name=name, _original=getattr(certify, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(certify, name, counting)
+    assert not probe().feasible
+    assert set(calls) == {"resolvent", "monomial_to_bernstein", "poly_nonneg_on_unit"}
 
 
 def test_feasible_probe_never_subdivides(monkeypatch):
@@ -826,6 +877,14 @@ def test_cell_loop_matches_the_reference(monkeypatch, max_nodes, max_depth):
     verdicts = {_same_report(row) for row in _cell_loop_rows()}
     # the rows reach every verdict
     assert verdicts == set(CertStatus)
+
+
+@pytest.mark.parametrize(
+    "c0", [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, -1e308, math.inf, -math.inf, math.nan]
+)
+def test_constant_row_matches_the_reference(c0):
+    # a constant row is decided by its sign, as its one cell is at depth 0
+    _same_report([c0])
 
 
 def test_nonfinite_row_is_inconclusive_without_a_warning():
