@@ -485,12 +485,13 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
     without an estimate gives plain bisection.
 
     Every radius is probed once: only the radius lo*(1+1e-8)+1e-8 just
-    above the sup is post-verified, and a feasible probe there means a
-    non-interval set and surfaces as an error rather than a wrong answer.
-    For r = 0 that radius is 1e-8; a tol below 1e-10 also bisects (0, 1e-10)
-    when 1e-10 probes infeasible.  The first infeasible probe is kept as
-    first_infeasible.  conservative means that some radius was judged
-    infeasible without a witness.
+    above the sup, or x*(1+1e-8)+1e-8 for the lowest radius x probed
+    infeasible when a tol above about 1e-8 leaves x higher, is post-verified,
+    and a feasible probe there means a non-interval set and surfaces as an
+    error rather than a wrong answer.  For r = 0 that radius is 1e-8; a tol
+    below 1e-10 also bisects (0, 1e-10) when 1e-10 probes infeasible.  The
+    first infeasible probe is kept as first_infeasible.  conservative means
+    that some radius was judged infeasible without a witness.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tolerance must be finite and positive, got {tol}")
@@ -536,6 +537,8 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
                 else:
                     infeasible_min, estimate = r, None
     upper = feasible_max * (1.0 + 1e-8) + 1e-8
+    if upper <= infeasible_min:
+        upper = infeasible_min * (1.0 + 1e-8) + 1e-8
     if run(upper).feasible:
         raise PostVerificationError(
             f"post-verification failed: r={upper} probed feasible above the sup",

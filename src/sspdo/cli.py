@@ -5,11 +5,9 @@ experiment drivers (figure1, sweep, convergence).  Each command that reports
 results emits one JSON record line, after its human-readable lines unless
 --format record is given (sweep and convergence print a table or the record).
 Exit codes: 0 success, 1 assertion failure (e.g. containment violated),
-2 usage or parse errors.  The environment variable SSPDO_TOL overrides the
-default certification tolerance.
+2 usage or parse errors.
 
-main builds its argparse parser once per process, at its first call, and
-reads SSPDO_TOL on every call: a new value builds a new parser.
+main builds its argparse parser once per process, at its first call.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import warnings
 
@@ -190,18 +187,10 @@ def _cmd_experiment(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of main, with --tol defaulting to SSPDO_TOL when it is set.
-
-    SSPDO_TOL is read at every call, and the parser is built once per process
-    and reused while that value stands, since building it costs about 1.4 ms.
-    The parser is shared: do not mutate it.
-    """
-    return _parser(os.environ.get("SSPDO_TOL") or DEFAULT_BISECT_TOL)
-
-
-@functools.lru_cache(maxsize=1)
-def _parser(tol_default) -> argparse.ArgumentParser:
+    """The parser of main, built once per process, since building it costs
+    about 1.4 ms.  The parser is shared: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="sspdo",
         description="SSP Runge-Kutta methods with SSP-certified dense output",
@@ -227,9 +216,7 @@ def _parser(tol_default) -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="compute SSP coefficients and certificate")
     add_method_args(p)
     p.add_argument("--dense", action="store_true", help="also certify dense weights")
-    # A string default goes through type=float only when --tol is absent, so
-    # a malformed SSPDO_TOL is a usage error of certify alone.
-    p.add_argument("--tol", type=float, default=tol_default)
+    p.add_argument("--tol", type=float, default=DEFAULT_BISECT_TOL)
     add_format(p)
     p.set_defaults(func=_cmd_certify)
 

@@ -180,7 +180,9 @@ def convergence_study(
     For each step size the max error over step points from t = 0 and,
     separately, over the off-step probe times t_n + theta*h, theta = 1/4,
     1/2, 3/4, is recorded; the reported slopes are least-squares fits of log
-    error against log h.
+    error against log h.  Bad inputs raise before any integration: a step
+    not finite and positive, fewer than two distinct steps, or a t_end not
+    finite or shorter than the longest step.
     """
     if problem.exact is None:
         raise ExactSolutionMissingError(
@@ -188,6 +190,12 @@ def convergence_study(
         )
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     hs = [float(h) for h in hs]
+    if not all(0.0 < h < np.inf for h in hs):
+        raise InvalidStepSizeError(f"step sizes must be finite and positive, got {hs}")
+    if len(set(hs)) < 2:
+        raise InvalidArgumentError("a convergence study needs two distinct step sizes")
+    if not max(hs) <= t_end < np.inf:
+        raise InvalidArgumentError(f"t_end must be finite and at least {max(hs)}, got {t_end}")
     thetas = (0.25, 0.5, 0.75)
     step_errors = []
     dense_errors = [] if weights is not None else None

@@ -184,6 +184,38 @@ def test_post_verification_names_the_probed_r():
     assert info.value.r == pytest.approx(1.0 + 2e-8, abs=1e-15)
 
 
+def _random_explicit(seed):
+    rng = np.random.default_rng(seed)
+    s = 2 + seed % 4
+    b = rng.uniform(0.1, 1.0, s)
+    return ButcherTableau(np.tril(rng.uniform(0.0, 1.0, (s, s)), -1), b / b.sum())
+
+
+def _coarse_tol_sups():
+    for seed in range(40):
+        tab = _random_explicit(seed)
+        yield pytest.param(
+            lambda tol, tab=tab: ssp_coefficient_detailed(tab, tol), id=f"random-{seed}"
+        )
+    for s in range(5, 13):
+        tab = family_tableau(s)
+        weights = second_order_weights(tab)
+        yield pytest.param(
+            lambda tol, tab=tab, weights=weights: dense_ssp_coefficient_detailed(tab, weights, tol),
+            id=f"dense-family-s{s}",
+        )
+
+
+@pytest.mark.parametrize("sup", _coarse_tol_sups())
+def test_coarse_tolerance_passes_post_verification(sup):
+    # a tol above about 1e-8 leaves the sup farther above lo than
+    # lo*(1+1e-8)+1e-8, so post-verification probes above the lowest radius
+    # probed infeasible; the result stays within tol below the sup
+    exact = sup(1e-12).value
+    for tol in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.1, 10.0, 1e300):
+        assert exact - tol <= sup(tol).value <= exact
+
+
 @pytest.mark.parametrize("sup", [0.0, 1.7, 2.0, certify.R_CAP])
 def test_bisection_probes_each_radius_once(sup):
     radii = []

@@ -7,6 +7,7 @@ from sspdo.errors import (
     DimensionMismatchError,
     ExactSolutionMissingError,
     InvalidArgumentError,
+    InvalidStepSizeError,
     NonfiniteStateError,
     StructureError,
 )
@@ -191,6 +192,36 @@ def test_convergence_study_needs_exact():
         convergence_study(
             registry.get("ssp222").tableau, None, problem, 1.0, 1.0, [0.1, 0.05]
         )
+
+
+@pytest.mark.parametrize(
+    "t_end, hs, error",
+    [
+        (2.0, [0.1, 0.0], InvalidStepSizeError),
+        (2.0, [0.1, float("nan")], InvalidStepSizeError),
+        (2.0, [0.1, float("inf")], InvalidStepSizeError),
+        (2.0, [0.1, -0.1], InvalidStepSizeError),
+        (2.0, [], InvalidArgumentError),
+        (2.0, [0.1], InvalidArgumentError),
+        (2.0, [0.1, 0.1], InvalidArgumentError),
+        (0.0, [0.1, 0.05], InvalidArgumentError),
+        (float("nan"), [0.1, 0.05], InvalidArgumentError),
+        (float("inf"), [0.1, 0.05], InvalidArgumentError),
+        (2.0, [0.1, 5.0], InvalidArgumentError),
+    ],
+    ids=[
+        "zero-step", "nan-step", "inf-step", "negative-step", "no-steps",
+        "one-step", "repeated-step", "zero-t_end", "nan-t_end", "inf-t_end",
+        "step-above-t_end",
+    ],
+)
+def test_convergence_study_rejects_bad_steps(t_end, hs, error):
+    def integrated(*args):
+        raise AssertionError("integrated before the inputs were checked")
+
+    problem = Problem(rhs=integrated, exact=lambda t, u0: u0)
+    with pytest.raises(error):
+        convergence_study(registry.get("ssp222").tableau, None, problem, 0.5, t_end, hs)
 
 
 def test_convergence_orders():

@@ -10,9 +10,8 @@ import pytest
 
 import sspdo
 from sspdo import cli, registry
-from sspdo.certify import DEFAULT_BISECT_TOL
 from sspdo.cli import main
-from sspdo.construct import lp_search
+from sspdo.construct import family_tableau, lp_search, second_order_weights
 from sspdo.errors import ParseError
 from sspdo.experiments import (
     FIGURE1_N_STEPS,
@@ -145,39 +144,24 @@ def test_certify_dense_from_file(tmp_path, capsys):
     assert record["r_combined"] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_certify_tol_env(monkeypatch, capsys):
-    monkeypatch.setenv("SSPDO_TOL", "1e-6")
-    from sspdo.cli import build_parser
-
-    args = build_parser().parse_args(["certify", "--method", "ssp222"])
-    assert args.tol == 1e-6
-
-
-def _certify_tol(capsys) -> float:
-    assert main(["certify", "--method", "ssp222"]) == 0
-    header = capsys.readouterr().out.splitlines()[0]
-    return float(re.search(r"tol=([^)]+)\)", header).group(1))
-
-
-def test_certify_tol_env_is_read_on_every_call(monkeypatch, capsys):
-    # main reuses its parser, so a changed SSPDO_TOL must still reach --tol
-    monkeypatch.setenv("SSPDO_TOL", "1e-6")
-    assert _certify_tol(capsys) == 1e-6
-    monkeypatch.setenv("SSPDO_TOL", "1e-7")
-    assert _certify_tol(capsys) == 1e-7
-    monkeypatch.delenv("SSPDO_TOL")
-    assert _certify_tol(capsys) == DEFAULT_BISECT_TOL
-    monkeypatch.setenv("SSPDO_TOL", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["certify", "--method", "ssp222"])
-    assert exc.value.code == 2
-    assert "invalid float value: 'abc'" in capsys.readouterr().err
-    monkeypatch.delenv("SSPDO_TOL")
-    assert _certify_tol(capsys) == DEFAULT_BISECT_TOL
-
-
-def test_parser_is_built_once(monkeypatch):
+def test_certify_ignores_a_tolerance_in_the_environment(tmp_path, monkeypatch, capsys):
+    # --tol alone sets the tolerance, so SSPDO_TOL, which once set its
+    # default, is ignored; r_dense 2.897271185356658 is not dyadic, so a
+    # coarser tolerance would show in it
+    tab = family_tableau(5)
+    save_tableau_file(tmp_path / "f5.json", tab, second_order_weights(tab))
+    argv = ["certify", "--tableau", str(tmp_path / "f5.json"), "--dense", "--format", "record"]
     monkeypatch.delenv("SSPDO_TOL", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr().out
+    assert json.loads(unset)["r_dense"] == 2.897271185356658
+    for value in ("1e-3", "abc"):
+        monkeypatch.setenv("SSPDO_TOL", value)
+        assert main(argv) == 0, value
+        assert capsys.readouterr().out == unset, value
+
+
+def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -531,7 +515,6 @@ def _run_cli(argv, env_extra=None):
     # a subprocess with a timeout, so a bisection that never ends fails the test
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("SSPDO_TOL", None)
     env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "sspdo.cli", *argv], env=env, capture_output=True,
@@ -540,20 +523,31 @@ def _run_cli(argv, env_extra=None):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["--method", "ssp222", "--tol", "0"], None),
-        (["--method", "family-s6", "--tol", "nan"], None),
-        (["--method", "ssp222", "--tol", "inf"], None),
-        (["--method", "ssp222"], {"SSPDO_TOL": "-1"}),
-        (["--method", "ssp222"], {"SSPDO_TOL": "abc"}),
+        ["--method", "ssp222", "--tol", "0"],
+        ["--method", "family-s6", "--tol", "nan"],
+        ["--method", "ssp222", "--tol", "inf"],
+        ["--method", "ssp222", "--tol", "-1"],
+        ["--method", "ssp222", "--tol", "abc"],
     ],
-    ids=["tol-zero", "tol-nan", "tol-inf", "env-negative", "env-malformed"],
+    ids=["tol-zero", "tol-nan", "tol-inf", "tol-negative", "tol-malformed"],
 )
-def test_certify_bad_tolerance_exit_code(argv, env):
-    out = _run_cli(["certify", *argv], env)
+def test_certify_bad_tolerance_exit_code(argv):
+    out = _run_cli(["certify", *argv])
     assert out.returncode == 2
     assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_certificate_is_the_same_on_one_and_two_blas_threads():
+    # family-s40 is the benchmark's largest member; on a 2-CPU host records
+    # were measured identical up to family-s128 and different at s160, but
+    # OpenBLAS's threading thresholds depend on the build, so none above
+    # s = 40 is pinned
+    argv = ["certify", "--method", "family-s40", "--format", "record"]
+    one, two = (_run_cli(argv, {"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout == two.stdout
 
 
 def test_certify_tolerance_below_float_spacing_terminates():
@@ -677,7 +671,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         "import sys, sspdo.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
         "sorted(m for m in sys.modules if m.startswith('numpy.polynomial')), "
-        "sspdo.cli._parser.cache_info().misses)"
+        "sspdo.cli.build_parser.cache_info().misses)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -712,7 +706,6 @@ def test_only_a_resolvent_loads_scipy_linalg(argv, loads_linalg, tmp_path):
     argv = [str(tmp_path) if a == "OUT" else a for a in argv]
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("SSPDO_TOL", None)
     out = subprocess.run(
         [sys.executable, "-c", _SCIPY_LINALG_PROBE, *argv], env=env,
         capture_output=True, text=True, timeout=60,
@@ -964,7 +957,6 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     entry = registry.get("ssp322")
     save_tableau_file(tmp_path / "m.json", entry.tableau, entry.dense_weights)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SSPDO_TOL", raising=False)
     for argv in commands:
         assert main(argv) == 0, argv
         assert capsys.readouterr().err == "", argv
