@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Subcommands: certify, construct, search, shu-osher, integrate, and the
-experiment drivers (figure1, sweep, convergence).  Each command that reports
-results emits one JSON record line, after its human-readable lines unless
---format record is given (sweep and convergence print a table or the record).
+Subcommands: certify, construct, search, shu-osher, integrate, and
+experiment with its own subcommands figure1, sweep and convergence, each
+taking only the options it reads.  Each command that reports results emits
+one JSON record line, after its human-readable lines unless --format record
+is given (sweep and convergence print a table or the record).
 Exit codes: 0 success, 1 assertion failure (e.g. containment violated),
 2 usage or parse errors.
 
-main builds its argparse parser once per process, at its first call.
+main builds its argparse parser once per process, at its first call.  Long
+options are spelled in full, and every real-valued option takes a decimal or
+a fraction such as 1/3.
 """
 
 from __future__ import annotations
@@ -129,8 +132,14 @@ def _cmd_integrate(args) -> int:
     if args.dense < 0:
         raise InvalidArgumentError("--dense must be nonnegative")
     problem = get_problem(args.problem)
+    try:
+        thetas = (np.arange(1, args.dense) / args.dense).tolist()
+    except ValueError:  # numpy cannot even shape an array this long
+        thetas = None
+    # past int64, np.arange can also return too few points without an error
+    if thetas is None or len(thetas) != max(args.dense - 1, 0):
+        raise InvalidArgumentError(f"--dense {args.dense} gives more points than an array holds")
     traj = integrate_fixed(tab, problem, [args.u0], 0.0, args.h, args.steps)
-    thetas = (np.arange(1, args.dense) / args.dense).tolist()
     print("t,theta_global,u,is_step_point")
     for n in range(args.steps):
         t = n * args.h
@@ -143,59 +152,61 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    """figure1 prints its summary and then its record; sweep and convergence
-    print a table or, under --format record, the record alone."""
-    human = args.format == "human"
-    code = 0
-    if args.experiment == "figure1":
-        summary = run_figure1(h=args.h, out_dir=args.out)
-        record = summary.as_record()
-        code = 0 if summary.ssp_contained else 1
-        if human:
-            print(
-                f"figure1 at h={summary.h:g} over {summary.n_steps} steps:\n"
-                f"  ssp formula range    [{summary.ssp_min:.6e}, {summary.ssp_max:.6f}]"
-                f" contained={summary.ssp_contained}\n"
-                f"  nonssp formula range [{summary.nonssp_min:.6f}, {summary.nonssp_max:.6f}]"
-                f" (most negative at u0={summary.nonssp_argmin[0]:.4f},"
-                f" t={summary.nonssp_argmin[1]:.4f})"
-            )
-    elif args.experiment == "sweep":
-        rows = run_certification_sweep(args.smax)
-        record = {"rows": [row.as_record() for row in rows]}
-        if human:
-            print(f"{'s':>3} {'C(A,b)':>12} {'gamma':>12} {'xineq':>7} {'C dense':>12}")
-            for row in rows:
-                print(
-                    f"{row.s:>3} {row.c_method:>12.8f} {row.gamma:>12.8f} "
-                    f"{'holds' if row.xineq_holds else 'fails':>7} {row.c_dense:>12.8f}"
-                )
-    else:
-        studies = run_convergence_tables()
-        record = {"rows": [{"label": label, **study.as_record()} for label, study in studies]}
-        if human:
-            for label, study in studies:
-                dense = (
-                    f", dense slope {study.dense_slope:.3f}"
-                    if study.dense_slope is not None
-                    else ""
-                )
-                print(f"{label}: step slope {study.step_slope:.3f}{dense}")
-    if not human or args.experiment == "figure1":
-        _emit(record)
-    return code
+def _cmd_figure1(args) -> int:
+    summary = run_figure1(h=args.h, out_dir=args.out)
+    if args.format == "human":
+        print(
+            f"figure1 at h={summary.h:g} over {summary.n_steps} steps:\n"
+            f"  ssp formula range    [{summary.ssp_min:.6e}, {summary.ssp_max:.6f}]"
+            f" contained={summary.ssp_contained}\n"
+            f"  nonssp formula range [{summary.nonssp_min:.6f}, {summary.nonssp_max:.6f}]"
+            f" (most negative at u0={summary.nonssp_argmin[0]:.4f},"
+            f" t={summary.nonssp_argmin[1]:.4f})"
+        )
+    _emit(summary.as_record())
+    return 0 if summary.ssp_contained else 1
+
+
+def _cmd_sweep(args) -> int:
+    rows = run_certification_sweep(args.smax)
+    if args.format == "record":
+        _emit({"rows": [row.as_record() for row in rows]})
+        return 0
+    print(f"{'s':>3} {'C(A,b)':>12} {'gamma':>12} {'xineq':>7} {'C dense':>12}")
+    for row in rows:
+        print(
+            f"{row.s:>3} {row.c_method:>12.8f} {row.gamma:>12.8f} "
+            f"{'holds' if row.xineq_holds else 'fails':>7} {row.c_dense:>12.8f}"
+        )
+    return 0
+
+
+def _cmd_convergence(args) -> int:
+    studies = run_convergence_tables()
+    if args.format == "record":
+        _emit({"rows": [{"label": label, **study.as_record()} for label, study in studies]})
+        return 0
+    for label, study in studies:
+        dense = (
+            f", dense slope {study.dense_slope:.3f}"
+            if study.dense_slope is not None
+            else ""
+        )
+        print(f"{label}: step slope {study.step_slope:.3f}{dense}")
+    return 0
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of main, built once per process, since building it costs
     about 1.4 ms.  The parser is shared: do not mutate it."""
-    parser = argparse.ArgumentParser(
+    # a prefix of a long option is a usage error, not that option
+    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = parser_class(
         prog="sspdo",
         description="SSP Runge-Kutta methods with SSP-certified dense output",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     def add_method_args(p):
         """--tableau FILE or --method KEY: exactly one is required."""
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="compute SSP coefficients and certificate")
     add_method_args(p)
     p.add_argument("--dense", action="store_true", help="also certify dense weights")
-    p.add_argument("--tol", type=float, default=DEFAULT_BISECT_TOL)
+    p.add_argument("--tol", type=as_float, default=DEFAULT_BISECT_TOL)
     add_format(p)
     p.set_defaults(func=_cmd_certify)
 
@@ -244,19 +255,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrate", help="fixed-step integration, CSV on stdout")
     add_method_args(p)
     p.add_argument("--problem", default="sinode")
-    p.add_argument("--u0", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--u0", type=as_float, required=True)
+    p.add_argument("--h", type=as_float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--dense", type=int, default=0, help="dense points per step")
+    p.add_argument(
+        "--dense", type=int, default=0, metavar="N",
+        help="N-1 dense points per step, at theta=k/N",
+    )
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("experiment", help="run a built-in experiment")
-    p.add_argument("experiment", choices=("figure1", "sweep", "convergence"))
-    p.add_argument("--h", type=float, default=1.6, help="figure1 step size")
-    p.add_argument("--out", default=None, help="figure1 CSV output directory")
-    p.add_argument("--smax", type=int, default=8, help="sweep stage limit")
+    experiments = p.add_subparsers(dest="experiment", required=True, parser_class=parser_class)
+
+    p = experiments.add_parser("figure1", help="interval invariance of two dense formulas")
+    p.add_argument("--h", type=as_float, default=1.6, help="step size (default 1.6)")
+    p.add_argument("--out", default=None, help="CSV output directory")
     add_format(p)
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_figure1)
+
+    p = experiments.add_parser("sweep", help="certify the family for s = 2..smax")
+    p.add_argument("--smax", type=int, default=8, help="stage limit (default 8)")
+    add_format(p)
+    p.set_defaults(func=_cmd_sweep)
+
+    p = experiments.add_parser("convergence", help="observed convergence orders")
+    add_format(p)
+    p.set_defaults(func=_cmd_convergence)
 
     return parser
 

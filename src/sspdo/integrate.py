@@ -99,8 +99,11 @@ def integrate_fixed(
         raise InvalidArgumentError(f"step count must be nonnegative, got {n_steps}")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     dim = u0.shape[0]
-    states = np.empty((n_steps + 1, dim))
-    stage_derivs = np.empty((n_steps, tab.s, dim))
+    try:
+        states = np.empty((n_steps + 1, dim))
+        stage_derivs = np.empty((n_steps, tab.s, dim))
+    except ValueError as exc:  # a shape numpy cannot even describe
+        raise InvalidArgumentError(f"step count {n_steps} is too large: {exc}") from exc
     states[0] = u0
     t = t0
     for n in range(n_steps):
@@ -181,8 +184,9 @@ def convergence_study(
     separately, over the off-step probe times t_n + theta*h, theta = 1/4,
     1/2, 3/4, is recorded; the reported slopes are least-squares fits of log
     error against log h.  Bad inputs raise before any integration: a step
-    not finite and positive, fewer than two distinct steps, or a t_end not
-    finite or shorter than the longest step.
+    not finite and positive, fewer than two distinct steps, a t_end not
+    finite or shorter than the longest step, or a step count t_end / h beyond
+    the float range.
     """
     if problem.exact is None:
         raise ExactSolutionMissingError(
@@ -196,6 +200,8 @@ def convergence_study(
         raise InvalidArgumentError("a convergence study needs two distinct step sizes")
     if not max(hs) <= t_end < np.inf:
         raise InvalidArgumentError(f"t_end must be finite and at least {max(hs)}, got {t_end}")
+    if not float(t_end) / min(hs) < np.inf:
+        raise InvalidArgumentError(f"t_end / h overflows for t_end={t_end}, h={min(hs)}")
     thetas = (0.25, 0.5, 0.75)
     step_errors = []
     dense_errors = [] if weights is not None else None

@@ -208,11 +208,12 @@ def test_convergence_study_needs_exact():
         (float("nan"), [0.1, 0.05], InvalidArgumentError),
         (float("inf"), [0.1, 0.05], InvalidArgumentError),
         (2.0, [0.1, 5.0], InvalidArgumentError),
+        (1e300, [1e-10, 2e-10], InvalidArgumentError),
     ],
     ids=[
         "zero-step", "nan-step", "inf-step", "negative-step", "no-steps",
         "one-step", "repeated-step", "zero-t_end", "nan-t_end", "inf-t_end",
-        "step-above-t_end",
+        "step-above-t_end", "step-count-overflows",
     ],
 )
 def test_convergence_study_rejects_bad_steps(t_end, hs, error):

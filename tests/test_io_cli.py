@@ -378,16 +378,33 @@ def _exit_code(argv):
         return exc.code
 
 
+_REAL_OPTIONS = {
+    "certify-tol": ["certify", "--method", "ssp222", "--tol", "X"],
+    "integrate-u0": ["integrate", "--method", "ssp222", "--u0", "X", "--h", "0.5",
+                     "--steps", "2"],
+    "integrate-h": ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "X",
+                    "--steps", "2"],
+    "figure1-h": ["experiment", "figure1", "--h", "X", "--out", "OUT"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, option",
     [
-        ["search", "--stages", "3", "--order", "1", "--degree", "1", "--r", "1e400"],
-        ["shu-osher", "--method", "ssp222", "--C", "1e400"],
-        ["certify", "--tableau", "big.json"],
+        (["search", "--stages", "3", "--order", "1", "--degree", "1", "--r", "1e400"], "--r"),
+        (["shu-osher", "--method", "ssp222", "--C", "1e400"], "--C"),
+        (["certify", "--tableau", "big.json"], None),
+        *(
+            ([value if a == "X" else a for a in argv], argv[argv.index("X") - 1])
+            for argv in _REAL_OPTIONS.values()
+            for value in ("nan", "inf", "1e400")
+        ),
     ],
-    ids=["search-r", "shu-osher-C", "tableau-entry"],
+    ids=["search-r", "shu-osher-C", "tableau-entry", *(
+        f"{name}-{value}" for name in _REAL_OPTIONS for value in ("nan", "inf", "1e400")
+    )],
 )
-def test_coefficient_beyond_float_range_exit_code(argv, tmp_path, monkeypatch, capsys):
+def test_coefficient_beyond_float_range_exit_code(argv, option, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "big.json").write_text(
         json.dumps({"A": [[0, 0], ["1e400", 0]], "b": ["1/2", "1/2"]})
@@ -397,6 +414,41 @@ def test_coefficient_beyond_float_range_exit_code(argv, tmp_path, monkeypatch, c
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    if option is not None:
+        assert f"argument {option}:" in captured.err
+    assert not (tmp_path / "OUT").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "sweep", "--smax", "3", "--out", "OUT"],
+        ["experiment", "sweep", "--h", "3"],
+        ["experiment", "convergence", "--smax", "3"],
+        ["experiment", "figure1", "--smax", "3", "--out", "OUT"],
+        ["certify", "--meth", "ssp222"],
+        ["certify", "--method", "ssp222", "--dens"],
+        ["experiment", "sweep", "--sm", "3"],
+    ],
+    ids=["sweep-out", "sweep-h", "convergence-smax", "figure1-smax",
+         "prefix-meth", "prefix-dens", "prefix-sm"],
+)
+def test_unread_or_abbreviated_option_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # an experiment takes only the options it reads, each spelled in full
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "OUT").exists()
+
+
+def test_real_option_takes_a_fraction(capsys):
+    argv = ["integrate", "--method", "ssp222", "--h", "0.5", "--steps", "3", "--dense", "4"]
+    assert main([*argv, "--u0", "1/3"]) == 0
+    fraction = capsys.readouterr().out
+    assert main([*argv, "--u0", "0.3333333333333333"]) == 0
+    assert capsys.readouterr().out == fraction
 
 
 @pytest.mark.parametrize(
@@ -479,10 +531,23 @@ def test_search_bad_argument_exit_code(argv, capsys):
         ["search", "--stages", "1001", "--order", "2", "--degree", "2", "--r", "1"],
         # more digits than int() converts
         ["certify", "--method", "family-s" + "9" * 5000],
+        # counts whose arrays numpy cannot even shape, so nothing is allocated
+        ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5",
+         "--steps", str(2 * 10**18)],
+        ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5",
+         "--steps", str(10**19)],
+        ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5",
+         "--steps", "2", "--dense", str(2**62)],
+        ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5",
+         "--steps", "2", "--dense", str(10**19)],
+        # np.arange returns no point here rather than failing
+        ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5",
+         "--steps", "2", "--dense", str(2**63 - 1)],
     ],
     ids=["sweep-smax-one", "negative-steps", "negative-step-size", "negative-dense",
          "sweep-above-stage-bound", "family-above-stage-bound", "stages-above-bound",
-         "family-key-too-long"],
+         "family-key-too-long", "steps-too-big", "steps-beyond-int64", "dense-too-big",
+         "dense-beyond-int64", "dense-int64-max"],
 )
 def test_bad_argument_exit_code(argv, capsys):
     assert main(argv) == 2
