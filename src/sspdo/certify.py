@@ -46,7 +46,7 @@ from .tableau import ButcherTableau, DenseWeights, check_stage_count
 
 SIGN_TOL = 1e-12        # slack allowed on both sides: >= -1e-12 and <= 1 + 1e-12
 PIVOT_TOL = 1e-12
-DEFAULT_BISECT_TOL = 1e-10
+BISECT_TOL = 1e-10       # width at which bisection stops (_sup_by_bisection)
 R_CAP = 1e6
 MAX_DEPTH = 40
 MAX_NODES = 200_000
@@ -492,6 +492,10 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
     below 1e-10 also bisects (0, 1e-10) when 1e-10 probes infeasible.  The
     first infeasible probe is kept as first_infeasible.  conservative means
     that some radius was judged infeasible without a witness.
+
+    The value is at most tol below the sup of the probe.  A probe whose
+    sign checks allow SIGN_TOL of slack has its sup up to about
+    C * SIGN_TOL above the exact coefficient C, so the value can exceed C.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tolerance must be finite and positive, got {tol}")
@@ -556,28 +560,24 @@ def _leaves(lo: float, hi: float, tol: float, x: float) -> tuple[float, float]:
     return lo, hi
 
 
-def ssp_coefficient(tab: ButcherTableau, tol: float = DEFAULT_BISECT_TOL) -> float:
-    """SSP coefficient of the method, to absolute tolerance tol."""
-    return ssp_coefficient_detailed(tab, tol).value
+def ssp_coefficient(tab: ButcherTableau) -> float:
+    """SSP coefficient of the method, bisected to BISECT_TOL."""
+    return ssp_coefficient_detailed(tab).value
 
 
-def ssp_coefficient_detailed(
-    tab: ButcherTableau, tol: float = DEFAULT_BISECT_TOL
-) -> SupResult:
-    return _sup_by_bisection(lambda r: monotonicity_feasible_method(tab, r), tol)
+def ssp_coefficient_detailed(tab: ButcherTableau) -> SupResult:
+    return _sup_by_bisection(lambda r: monotonicity_feasible_method(tab, r), BISECT_TOL)
 
 
-def dense_ssp_coefficient(
-    tab: ButcherTableau, weights: DenseWeights, tol: float = DEFAULT_BISECT_TOL
-) -> float:
-    """SSP coefficient of the dense output formula, to absolute tolerance tol."""
-    return dense_ssp_coefficient_detailed(tab, weights, tol).value
+def dense_ssp_coefficient(tab: ButcherTableau, weights: DenseWeights) -> float:
+    """SSP coefficient of the dense output formula, bisected to BISECT_TOL."""
+    return dense_ssp_coefficient_detailed(tab, weights).value
 
 
-def dense_ssp_coefficient_detailed(
-    tab: ButcherTableau, weights: DenseWeights, tol: float = DEFAULT_BISECT_TOL
-) -> SupResult:
-    return _sup_by_bisection(lambda r: monotonicity_feasible_dense(tab, weights, r), tol)
+def dense_ssp_coefficient_detailed(tab: ButcherTableau, weights: DenseWeights) -> SupResult:
+    return _sup_by_bisection(
+        lambda r: monotonicity_feasible_dense(tab, weights, r), BISECT_TOL
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -659,17 +659,19 @@ class SspCertificate:
 
 
 def compute_certificate(
-    tab: ButcherTableau,
-    weights: DenseWeights | None = None,
-    tol: float = DEFAULT_BISECT_TOL,
+    tab: ButcherTableau, weights: DenseWeights | None = None
 ) -> SspCertificate:
     """Full certificate: method coefficient, dense coefficient when weights are
     given, their min, gamma, and the budget-inequality verdict, built in one
     pass from the method's sup, the dense sup (None without weights) and the
     budget-inequality report (None when the method coefficient is 0, where
-    gamma is read at r = 0).  The method's witnesses come first."""
-    method = ssp_coefficient_detailed(tab, tol)
-    dense = None if weights is None else dense_ssp_coefficient_detailed(tab, weights, tol)
+    gamma is read at r = 0).  The method's witnesses come first.
+
+    Each coefficient is the highest radius probed feasible, bisected to
+    BISECT_TOL: at most 1e-10 below the sup of a probe whose sign checks
+    allow SIGN_TOL (1e-12) of slack, so it can exceed the exact C."""
+    method = ssp_coefficient_detailed(tab)
+    dense = None if weights is None else dense_ssp_coefficient_detailed(tab, weights)
     xineq = check_xineq(tab, r=method.value) if method.value > 0 else None
     sups = (method,) if dense is None else (method, dense)
     return SspCertificate(

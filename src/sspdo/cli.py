@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import poly, registry
-from .certify import DEFAULT_BISECT_TOL, compute_certificate
+from .certify import BISECT_TOL, compute_certificate
 from .construct import (
     family_tableau,
     first_order_weights,
@@ -63,10 +63,10 @@ def _load_method(args, weights_for: str | None = None):
 
 def _cmd_certify(args) -> int:
     tab, weights = _load_method(args, "--dense" if args.dense else None)
-    cert = compute_certificate(tab, weights if args.dense else None, tol=args.tol)
+    cert = compute_certificate(tab, weights if args.dense else None)
     if args.format == "human":
         name = tab.name or "tableau"
-        print(f"certification of {name} (s={tab.s}, tol={args.tol:g})")
+        print(f"certification of {name} (s={tab.s}, tol={BISECT_TOL:g})")
         print(f"  {'r_method':<12} {cert.r_method:.12g}")
         if cert.r_dense is not None:
             print(f"  {'r_dense':<12} {cert.r_dense:.12g}")
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="compute SSP coefficients and certificate")
     add_method_args(p)
     p.add_argument("--dense", action="store_true", help="also certify dense weights")
-    p.add_argument("--tol", type=as_float, default=DEFAULT_BISECT_TOL)
     add_format(p)
     p.set_defaults(func=_cmd_certify)
 

@@ -145,8 +145,17 @@ def test_negative_coefficient_gives_zero():
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_bisection_rejects_bad_tolerance(tol):
+    tab = registry.get("ssp222").tableau
     with pytest.raises(InvalidArgumentError):
-        ssp_coefficient(registry.get("ssp222").tableau, tol)
+        _sup_by_bisection(lambda r: monotonicity_feasible_method(tab, r), tol)
+
+
+def test_bisection_below_float_spacing_terminates():
+    # 1e-17 is below the spacing of doubles near r = 1: bisection stops once
+    # the bracket cannot be split
+    tab = registry.get("ssp222").tableau
+    result = _sup_by_bisection(lambda r: monotonicity_feasible_method(tab, r), 1e-17)
+    assert result.value == pytest.approx(1.0, abs=1e-10)
 
 
 _WITNESS = ("stage_bound", (1,), 2.0, None)  # the fields of a Violation
@@ -195,13 +204,18 @@ def _coarse_tol_sups():
     for seed in range(40):
         tab = _random_explicit(seed)
         yield pytest.param(
-            lambda tol, tab=tab: ssp_coefficient_detailed(tab, tol), id=f"random-{seed}"
+            lambda tol, tab=tab: _sup_by_bisection(
+                lambda r: monotonicity_feasible_method(tab, r), tol
+            ),
+            id=f"random-{seed}",
         )
     for s in range(5, 13):
         tab = family_tableau(s)
         weights = second_order_weights(tab)
         yield pytest.param(
-            lambda tol, tab=tab, weights=weights: dense_ssp_coefficient_detailed(tab, weights, tol),
+            lambda tol, tab=tab, weights=weights: _sup_by_bisection(
+                lambda r: monotonicity_feasible_dense(tab, weights, r), tol
+            ),
             id=f"dense-family-s{s}",
         )
 
@@ -330,6 +344,18 @@ def test_dense_coefficient_family5_quadratic_below_four():
     assert weights.evaluate(5.0 / 8.0)[0] == pytest.approx(5.0 / 16.0, abs=1e-15)
     value = dense_ssp_coefficient(tab, weights)
     assert 0.0 < value < 4.0 - 1e-6
+
+
+def test_certificates_are_exact_in_the_benchmark_range():
+    # == and not approx: each C here lies on the bisection's grid, no more
+    # than the slack below the probe's sup, so a change that moves a
+    # certificate off C shows; the keys are the benchmark's certify commands
+    for key in (*ALL_KEYS, *(f"family-s{s}" for s in range(2, 41))):
+        entry = registry.get(key)
+        cert = compute_certificate(entry.tableau, entry.dense_weights)
+        assert cert.r_method == entry.c_method, key
+        if entry.dense_weights is not None:
+            assert cert.r_dense == entry.c_method, key
 
 
 def test_dense_feasibility_reports_witnesses():
@@ -622,10 +648,11 @@ def test_walk_on_overflowing_and_singular_tableaux(monkeypatch, A):
     for r in (1e-10, 0.5, 1.0, 2.0):
         assert monotonicity_feasible_method(tab, r).root_estimate is None
     for tol in (1e-10, 1e-13):
-        guided = compute_certificate(tab, first_order_weights(tab), tol)
+        monkeypatch.setattr(certify, "BISECT_TOL", tol)
+        guided = compute_certificate(tab, first_order_weights(tab))
         with monkeypatch.context() as patch:
             patch.setattr(certify, "GUIDED_JUMPS", 0)
-            plain = compute_certificate(tab, first_order_weights(tab), tol)
+            plain = compute_certificate(tab, first_order_weights(tab))
         assert repr(guided) == repr(plain)
         assert (guided.r_method, guided.r_dense, guided.conservative) == (0.0, 0.0, False)
 

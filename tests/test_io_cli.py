@@ -145,9 +145,9 @@ def test_certify_dense_from_file(tmp_path, capsys):
 
 
 def test_certify_ignores_a_tolerance_in_the_environment(tmp_path, monkeypatch, capsys):
-    # --tol alone sets the tolerance, so SSPDO_TOL, which once set its
-    # default, is ignored; r_dense 2.897271185356658 is not dyadic, so a
-    # coarser tolerance would show in it
+    # the bisection tolerance is the constant certify.BISECT_TOL, so
+    # SSPDO_TOL, which once set it, is ignored; r_dense 2.897271185356658 is
+    # not dyadic, so a coarser tolerance would show in it
     tab = family_tableau(5)
     save_tableau_file(tmp_path / "f5.json", tab, second_order_weights(tab))
     argv = ["certify", "--tableau", str(tmp_path / "f5.json"), "--dense", "--format", "record"]
@@ -379,7 +379,6 @@ def _exit_code(argv):
 
 
 _REAL_OPTIONS = {
-    "certify-tol": ["certify", "--method", "ssp222", "--tol", "X"],
     "integrate-u0": ["integrate", "--method", "ssp222", "--u0", "X", "--h", "0.5",
                      "--steps", "2"],
     "integrate-h": ["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "X",
@@ -587,21 +586,12 @@ def _run_cli(argv, env_extra=None):
     )
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--method", "ssp222", "--tol", "0"],
-        ["--method", "family-s6", "--tol", "nan"],
-        ["--method", "ssp222", "--tol", "inf"],
-        ["--method", "ssp222", "--tol", "-1"],
-        ["--method", "ssp222", "--tol", "abc"],
-    ],
-    ids=["tol-zero", "tol-nan", "tol-inf", "tol-negative", "tol-malformed"],
-)
-def test_certify_bad_tolerance_exit_code(argv):
-    out = _run_cli(["certify", *argv])
-    assert out.returncode == 2
-    assert "error:" in out.stderr and "Traceback" not in out.stderr
+def test_certify_tol_is_a_usage_error(capsys):
+    # the bisection tolerance is a constant: even its own value is refused
+    assert _exit_code(["certify", "--method", "ssp222", "--tol", "1e-10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --tol 1e-10" in captured.err
 
 
 def test_certificate_is_the_same_on_one_and_two_blas_threads():
@@ -613,14 +603,6 @@ def test_certificate_is_the_same_on_one_and_two_blas_threads():
     one, two = (_run_cli(argv, {"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
     assert one.returncode == two.returncode == 0, one.stderr + two.stderr
     assert one.stdout == two.stdout
-
-
-def test_certify_tolerance_below_float_spacing_terminates():
-    # 1e-17 is below the spacing of doubles near r = 1: bisection stops once
-    # the bracket cannot be split
-    out = _run_cli(["certify", "--method", "ssp222", "--tol", "1e-17", "--format", "record"])
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["r_method"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_search_benchmark_argv_is_certified(capsys):
