@@ -586,6 +586,26 @@ def _run_cli(argv, env_extra=None):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--method", "ssp222", "--tol", "0"],
+        ["--method", "family-s6", "--tol", "nan"],
+        ["--method", "ssp222", "--tol", "inf"],
+        ["--method", "ssp222", "--tol", "-1"],
+        ["--method", "ssp222", "--tol", "abc"],
+    ],
+    ids=["tol-zero", "tol-nan", "tol-inf", "tol-negative", "tol-malformed"],
+)
+def test_certify_bad_tolerance_exit_code(argv, capsys):
+    # certify takes no tolerance, so any value of --tol is a usage error
+    assert _exit_code(["certify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --tol" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_certify_tol_is_a_usage_error(capsys):
     # the bisection tolerance is a constant: even its own value is refused
     assert _exit_code(["certify", "--method", "ssp222", "--tol", "1e-10"]) == 2
