@@ -28,7 +28,11 @@ perturbation of rational tableaux stored in double precision.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -58,13 +62,27 @@ NEWTON_RTOL = 1e-13     # a Newton step this small, relative to r, ends the iter
 
 @functools.cache
 def _lapack():
-    """scipy's LAPACK wrappers, imported at the first call: scipy.linalg adds
-    ~0.34 s and ~26 MB to a process, and construct, integrate, figure1 and
+    """scipy's LAPACK extension, scipy.linalg._flapack, loaded at the first
+    call and on its own.  scipy.linalg.lapack only re-exports its routines,
+    so they are the same function objects; importing the scipy.linalg
+    package would add ~0.3 s, ~27 MB and ~300 modules to a process, and the
+    extension alone adds ~4 MB.  The module is registered under its full
+    name, so a later import of scipy.linalg reuses it, and one already
+    loaded is returned as it is.  construct, integrate, figure1 and
     convergence never invert.  Cached, because an import statement in
     resolvent costs ~2.4 us per call, ~1.5% of a sweep."""
-    from scipy.linalg import lapack
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
 
-    return lapack
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @np.errstate(over="ignore")
@@ -78,10 +96,10 @@ def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
     1e-12, raises SingularMatrixError.  These routines stay on one thread at
     these sizes, whereas a solve against the identity (dtrtrs, lu_solve)
     hands its s right-hand sides to OpenBLAS's threaded trsm, whose worker
-    thread then spins between probes.  LAPACK is imported at the first call
-    (_lapack), not with the module, so the CLI starts without scipy.  An
-    entry of r*A that overflows fails the finiteness check without a numpy
-    warning.
+    thread then spins between probes.  LAPACK's extension is loaded at the
+    first call (_lapack), not with the module, so the CLI starts without
+    scipy.  An entry of r*A that overflows fails the finiteness check
+    without a numpy warning.
     """
     lapack = _lapack()
     B = np.eye(tab.s) + r * tab.A

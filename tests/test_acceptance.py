@@ -46,8 +46,8 @@ def criterion(number, description):
 
 def test_c01_builtin_certification():
     with criterion(1, "built-in methods certify to 1, 2, 1"):
-        # warm-up: the first resolvent imports LAPACK (~0.34 s), which the
-        # gate does not time
+        # warm-up: the first resolvent loads LAPACK's extension and starts
+        # OpenBLAS, which the gate does not time
         resolvent(registry.get("ssp222").tableau, 1.0)
         start = time.perf_counter()
         expected = {"ssp222": 1.0, "ssp322": 2.0, "ssp332": 1.0}

@@ -1,5 +1,6 @@
 import collections
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -1127,10 +1128,71 @@ def test_near_singular_resolvent_raises_on_pivot():
     assert str(info.value) == "pivot below 1e-12 while factorizing I + 1.0*A"
 
 
+_LAPACK_ORDER_PROBE = """
+import json, resource, sys
+import numpy as np
+from sspdo import certify
+from sspdo.construct import family_tableau
+from sspdo.tableau import ButcherTableau
+
+if sys.argv[1] == "linalg-first":
+    import scipy.linalg
+explicit = family_tableau(40)
+implicit = ButcherTableau(
+    A=np.array([[0.2, 0.1, 0.0], [0.3, 0.2, 0.4], [0.1, 0.5, 0.3]]), b=np.full(3, 1 / 3)
+)
+rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+M = certify.resolvent(explicit, 39.0)
+N = certify.resolvent(implicit, 3.0)
+growth_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss0
+linalg_loaded = "scipy.linalg" in sys.modules
+
+import scipy.linalg
+from scipy.linalg import lapack
+
+ext = certify._lapack()
+lu, piv, _ = lapack.dgetrf(np.eye(3) + 3.0 * implicit.A)
+print(json.dumps({
+    "growth_kb": growth_kb,
+    "linalg_loaded": linalg_loaded,
+    "registered": sys.modules["scipy.linalg._flapack"] is ext,
+    "same": [getattr(ext, f) is getattr(lapack, f) for f in ("dtrtri", "dgetrf", "dgetri")],
+    "explicit_bits": M.tobytes() == lapack.dtrtri(
+        np.eye(40) + 39.0 * explicit.A, lower=1, unitdiag=1)[0].tobytes(),
+    "implicit_bits": N.tobytes() == lapack.dgetri(lu, piv)[0].tobytes(),
+    "qr": scipy.linalg.qr(np.eye(3))[0].shape == (3, 3),
+}))
+"""
+
+
+@pytest.mark.parametrize("order", ["resolvent-first", "linalg-first"])
+def test_one_lapack_module_in_either_import_order(order):
+    # The resolvent loads LAPACK's extension alone (~4 MB; the scipy.linalg
+    # package adds ~27 MB).  Whichever of the two a process loads first, both
+    # must end up with the same routines, and the resolvent with their bits.
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certify.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _LAPACK_ORDER_PROBE, order], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(out.stdout)
+    assert result["registered"]
+    assert result["same"] == [True, True, True]
+    assert result["explicit_bits"] and result["implicit_bits"] and result["qr"]
+    assert result["linalg_loaded"] == (order == "linalg-first")
+    if order == "resolvent-first" and sys.platform.startswith("linux"):
+        # ru_maxrss is in KiB on Linux; measured +3.7 MB
+        assert result["growth_kb"] <= 12 * 1024, result
+
+
 # s = 5..40 gives the main thread about 0.1 s of work: enough that the few ms
-# which OpenBLAS's idle workers spend in any process stay far below the bound
+# which OpenBLAS's idle workers spend in any process stay far below the bound.
+# OpenBLAS's worker spins for ~0.12 s after the library loads, at the warm-up's
+# first resolvent, and then sleeps; the pause keeps that spin out of the window.
 _THREAD_CPU_PROBE = """
 import resource
+import time
 from sspdo.certify import compute_certificate
 from sspdo.construct import family_tableau, second_order_weights
 
@@ -1140,6 +1202,7 @@ def cpu(who):
 
 tabs = [(family_tableau(s), second_order_weights(family_tableau(s))) for s in range(5, 41)]
 compute_certificate(*tabs[0])  # warm-up: lazy imports and caches
+time.sleep(0.5)
 self0, main0 = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_THREAD)
 for tab, weights in tabs:
     compute_certificate(tab, weights)

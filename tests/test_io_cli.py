@@ -728,10 +728,11 @@ def test_search_at_degree_ten_decides(capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.linalg costs about 0.34 s and 26 MB to import, then
-    # scipy.optimize about 0.3 s and 20 MB more; only a resolvent or an LP
-    # solve may load them, never the CLI start.  Nor does the start load
-    # numpy.polynomial (9 modules, 3-5 ms) or build main's parser.
+    # LAPACK's extension costs about 4 MB at a resolvent's first call; the
+    # scipy.linalg package about 0.3 s and 27 MB, and scipy.optimize about
+    # 0.3 s and 20 MB more, at an LP solve's; never at the CLI start.  Nor
+    # does the start load numpy.polynomial (9 modules, 3-5 ms) or build
+    # main's parser.
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -751,25 +752,30 @@ _SCIPY_LINALG_PROBE = """
 import sys
 from sspdo.cli import main
 code = main(sys.argv[1:])
-print("scipy.linalg" in sys.modules)
+print("scipy.linalg._flapack" in sys.modules, "scipy.linalg" in sys.modules)
 sys.exit(code)
 """
 
 
 @pytest.mark.parametrize(
-    "argv, loads_linalg",
+    "argv, loads_flapack, loads_linalg",
     [
-        (["experiment", "figure1", "--out", "OUT"], False),
+        (["experiment", "figure1", "--out", "OUT"], False, False),
         (["integrate", "--method", "ssp222", "--u0", "0.3", "--h", "0.5",
-          "--steps", "2", "--dense", "4"], False),
-        (["experiment", "convergence"], False),
-        (["construct", "--method", "ssp222", "--order", "2"], False),
-        (["certify", "--method", "ssp222", "--format", "record"], True),
+          "--steps", "2", "--dense", "4"], False, False),
+        (["experiment", "convergence"], False, False),
+        (["construct", "--method", "ssp222", "--order", "2"], False, False),
+        (["certify", "--method", "ssp222", "--format", "record"], True, False),
+        (["shu-osher", "--method", "ssp322", "--C", "2"], True, False),
+        (["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"],
+         True, True),
     ],
-    ids=["figure1", "integrate", "convergence", "construct", "certify"],
+    ids=["figure1", "integrate", "convergence", "construct", "certify",
+         "shu-osher", "search"],
 )
-def test_only_a_resolvent_loads_scipy_linalg(argv, loads_linalg, tmp_path):
-    # a cold process: LAPACK is imported inside the first resolvent call
+def test_only_a_resolvent_loads_scipy_linalg(argv, loads_flapack, loads_linalg, tmp_path):
+    # a cold process: a resolvent loads LAPACK's extension alone, and only
+    # the LP search (scipy.optimize) loads the scipy.linalg package
     argv = [str(tmp_path) if a == "OUT" else a for a in argv]
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -779,8 +785,8 @@ def test_only_a_resolvent_loads_scipy_linalg(argv, loads_linalg, tmp_path):
     )
     assert out.returncode == 0, out.stderr
     *lines, loaded = out.stdout.splitlines()
-    assert loaded == str(loads_linalg)
-    if loads_linalg:
+    assert loaded == f"{loads_flapack} {loads_linalg}"
+    if argv[0] == "certify":
         assert json.loads(lines[0])["r_method"] == 1.0
 
 
