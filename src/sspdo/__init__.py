@@ -36,16 +36,8 @@ from .construct import (
     quadrature_barrier_order3,
     second_order_weights,
 )
-from .integrate import (
-    ConvergenceStudy,
-    Problem,
-    Trajectory,
-    convergence_study,
-    dense_eval,
-    dense_eval_grid,
-    integrate_fixed,
-    step,
-)
+from .experiments import ConvergenceStudy, convergence_study
+from .integrate import Problem, Trajectory, dense_eval_grid, integrate_fixed, step
 from .problems import get_problem, linear, quadrature, sinode
 from .registry import MethodRegistryEntry, get as get_method
 from .shu_osher import (
@@ -91,7 +83,6 @@ __all__ = [
     "check_xineq",
     "compute_certificate",
     "convergence_study",
-    "dense_eval",
     "dense_eval_grid",
     "dense_order_residuals",
     "dense_ssp_coefficient",

@@ -139,7 +139,7 @@ def _cmd_integrate(args) -> int:
     # past int64, np.arange can also return too few points without an error
     if thetas is None or len(thetas) != max(args.dense - 1, 0):
         raise InvalidArgumentError(f"--dense {args.dense} gives more points than an array holds")
-    traj = integrate_fixed(tab, problem, [args.u0], 0.0, args.h, args.steps)
+    traj = integrate_fixed(tab, problem, [args.u0], args.h, args.steps)
     print("t,theta_global,u,is_step_point")
     for n in range(args.steps):
         t = n * args.h

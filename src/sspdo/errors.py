@@ -46,10 +46,6 @@ class NonfiniteStateError(SspdoError, FloatingPointError):
         self.step_index = step_index
 
 
-class ExactSolutionMissingError(SspdoError, ValueError):
-    """The requested study needs a problem with an exact-solution oracle."""
-
-
 class InvalidStepSizeError(SspdoError, ValueError):
     """Step size must be positive."""
 

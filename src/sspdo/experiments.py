@@ -1,5 +1,5 @@
 """Experiment drivers: interval-invariance sweep of the two dense formulas,
-certification table over the second-order family, and convergence studies."""
+certification table over the second-order family, and the convergence study."""
 
 from __future__ import annotations
 
@@ -12,14 +12,9 @@ from . import registry
 from .certify import compute_certificate
 from .construct import MAX_STAGES, family_tableau, first_order_weights, second_order_weights
 from .errors import InvalidArgumentError
-from .integrate import (
-    ConvergenceStudy,
-    convergence_study,
-    dense_eval_grid,
-    integrate_fixed,
-)
+from .integrate import dense_eval_grid, integrate_fixed
 from .problems import sinode
-from .tableau import validate_tableau
+from .tableau import ButcherTableau, DenseWeights, validate_tableau
 
 CSV_HEADER = "u0,t,theta,u,formula"
 FIGURE1_N_U0 = 101     # initial values, evenly spaced in [0,1]
@@ -70,7 +65,7 @@ def run_figure1(h: float = 1.6, out_dir: str | None = None) -> Figure1Summary:
     }
     u0s = np.linspace(0.0, 1.0, FIGURE1_N_U0)
     thetas = np.linspace(0.0, 1.0, FIGURE1_N_THETA)
-    traj = integrate_fixed(entry.tableau, sinode(), u0s, 0.0, h, FIGURE1_N_STEPS)
+    traj = integrate_fixed(entry.tableau, sinode(), u0s, h, FIGURE1_N_STEPS)
     # dense values indexed (step, theta, u0)
     grids = {
         formula: np.stack([dense_eval_grid(traj, weights, n, thetas) for n in range(traj.n_steps)])
@@ -155,16 +150,80 @@ STUDY_U0 = 0.5
 STUDY_T_END = 2.0
 
 
+@dataclass(frozen=True)
+class ConvergenceStudy:
+    hs: tuple[float, ...]
+    step_errors: tuple[float, ...]
+    dense_errors: tuple[float, ...] | None
+    step_slope: float
+    dense_slope: float | None
+
+    def as_record(self) -> dict:
+        return {
+            "step_slope": self.step_slope,
+            "dense_slope": self.dense_slope,
+            "hs": list(self.hs),
+            "step_errors": list(self.step_errors),
+            "dense_errors": None if self.dense_errors is None else list(self.dense_errors),
+        }
+
+
+def convergence_study(tab: ButcherTableau, weights: DenseWeights | None) -> ConvergenceStudy:
+    """Observed convergence orders on the oscillating logistic problem from
+    u0 = STUDY_U0 to STUDY_T_END at the steps STUDY_HS, against its exact
+    solution.
+
+    For each step size the max error over step points from t = 0 and,
+    separately, over the off-step probe times t_n + theta*h, theta = 1/4,
+    1/2, 3/4, is recorded; the reported slopes are least-squares fits of log
+    error against log h.
+    """
+    problem = sinode()
+    u0 = np.atleast_1d(np.asarray(STUDY_U0, dtype=float))
+    thetas = (0.25, 0.5, 0.75)
+    step_errors = []
+    dense_errors = [] if weights is not None else None
+    for h in STUDY_HS:
+        n_steps = int(round(STUDY_T_END / h))
+        traj = integrate_fixed(tab, problem, u0, h, n_steps)
+        times = traj.times()
+        worst = 0.0
+        for n, t in enumerate(times):
+            err = np.max(np.abs(traj.states[n] - problem.exact(t, u0)))
+            worst = max(worst, float(err))
+        step_errors.append(worst)
+        if weights is not None:
+            worst = 0.0
+            for n in range(n_steps):
+                values = dense_eval_grid(traj, weights, n, thetas)
+                for theta, value in zip(thetas, values):
+                    truth = problem.exact(times[n] + theta * h, u0)
+                    worst = max(worst, float(np.max(np.abs(value - truth))))
+            dense_errors.append(worst)
+    log_h = np.log(STUDY_HS)
+    step_slope = float(np.polyfit(log_h, np.log(step_errors), 1)[0])
+    dense_slope = (
+        float(np.polyfit(log_h, np.log(dense_errors), 1)[0])
+        if dense_errors is not None
+        else None
+    )
+    return ConvergenceStudy(
+        hs=STUDY_HS,
+        step_errors=tuple(step_errors),
+        dense_errors=None if dense_errors is None else tuple(dense_errors),
+        step_slope=step_slope,
+        dense_slope=dense_slope,
+    )
+
+
 def run_convergence_tables() -> list[tuple[str, ConvergenceStudy]]:
-    """(label, study) for three standard studies on the oscillating logistic
-    problem from u0 = STUDY_U0 to STUDY_T_END at the steps STUDY_HS:
+    """(label, study) for the three standard studies:
 
     - three-stage second-order method with its quadratic dense weights
       (dense slope ~2),
     - forward Euler with linear dense weights (dense slope ~1),
     - SSP(3,3,2) step points (slope ~3).
     """
-    problem = sinode()
     fe = validate_tableau([[0]], [1], name="euler")
     entry322 = registry.get("ssp322")
     entry332 = registry.get("ssp332")
@@ -173,7 +232,4 @@ def run_convergence_tables() -> list[tuple[str, ConvergenceStudy]]:
         ("euler+linear", fe, first_order_weights(fe)),
         ("ssp332-steps", entry332.tableau, None),
     ]
-    return [
-        (label, convergence_study(tab, weights, problem, STUDY_U0, STUDY_T_END, STUDY_HS))
-        for label, tab, weights in cases
-    ]
+    return [(label, convergence_study(tab, weights)) for label, tab, weights in cases]

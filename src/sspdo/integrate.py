@@ -1,10 +1,10 @@
 """Explicit Runge-Kutta stepping with stored stages and dense evaluation.
 
-Stage derivatives are stored alongside the step solutions so dense output at
-any intermediate time needs no further function evaluations; the memory cost
-of s vectors per step is accepted for desk-scale use.  Step size is uniform:
-the whole point of dense output is to avoid adjusting the step to land on
-output times.
+Integration starts at t = 0 and takes uniform steps: the whole point of
+dense output is to avoid adjusting the step to land on output times.  Stage
+derivatives are stored alongside the step solutions so dense output at any
+intermediate time needs no further function evaluations; the memory cost of
+s vectors per step is accepted for desk-scale use.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    ExactSolutionMissingError,
     InvalidArgumentError,
     InvalidStepSizeError,
     NonfiniteStateError,
@@ -30,7 +29,8 @@ class Problem:
     """An initial-value problem u'(t) = rhs(t, u).
 
     The state's length is that of u0.  ``exact``, when given, maps (t, u0) to
-    the true solution and enables convergence studies.
+    the true solution; the convergence study of ``experiments`` measures
+    errors against the one of ``sinode``.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -39,13 +39,12 @@ class Problem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step solution with stored stage derivatives.
+    """Fixed-step solution from t = 0 with stored stage derivatives.
 
     states has shape (n_steps+1, dim); stage_derivs has shape
     (n_steps, s, dim).
     """
 
-    t0: float
     h: float
     states: np.ndarray
     stage_derivs: np.ndarray
@@ -59,7 +58,7 @@ class Trajectory:
         object.__setattr__(self, "n_steps", self.states.shape[0] - 1)
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.n_steps + 1)
+        return self.h * np.arange(self.n_steps + 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -88,11 +87,11 @@ def integrate_fixed(
     tab: ButcherTableau,
     problem: Problem,
     u0,
-    t0: float,
     h: float,
     n_steps: int,
 ) -> Trajectory:
-    """March n_steps uniform steps from u0, storing the stage derivatives."""
+    """March n_steps uniform steps from u0 at t = 0, storing the stage
+    derivatives."""
     if not h > 0:
         raise InvalidStepSizeError(f"step size must be positive, got {h}")
     if n_steps < 0:
@@ -105,7 +104,7 @@ def integrate_fixed(
     except ValueError as exc:  # a shape numpy cannot even describe
         raise InvalidArgumentError(f"step count {n_steps} is too large: {exc}") from exc
     states[0] = u0
-    t = t0
+    t = 0.0
     for n in range(n_steps):
         try:
             states[n + 1], _, stage_derivs[n] = step(tab, problem, t, states[n], h)
@@ -114,20 +113,7 @@ def integrate_fixed(
                 f"nonfinite state at step {n}", step_index=n
             ) from exc
         t += h
-    return Trajectory(
-        t0=t0,
-        h=h,
-        states=states,
-        stage_derivs=stage_derivs,
-    )
-
-
-def dense_eval(
-    traj: Trajectory, weights: DenseWeights, n: int, theta: float
-) -> np.ndarray:
-    """Dense solution within step n at one theta in [0,1]: dense_eval_grid
-    at the single point, so both give the same bits."""
-    return dense_eval_grid(traj, weights, n, [theta])[0]
+    return Trajectory(h=h, states=states, stage_derivs=stage_derivs)
 
 
 def dense_eval_grid(
@@ -150,89 +136,3 @@ def dense_eval_grid(
     powers = thetas[:, None] ** np.arange(weights.degree + 1)[None, :]
     wv = powers @ weights.coeffs.T  # (n_theta, s)
     return traj.states[n][None, :] + traj.h * (wv @ traj.stage_derivs[n])
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    hs: tuple[float, ...]
-    step_errors: tuple[float, ...]
-    dense_errors: tuple[float, ...] | None
-    step_slope: float
-    dense_slope: float | None
-
-    def as_record(self) -> dict:
-        return {
-            "step_slope": self.step_slope,
-            "dense_slope": self.dense_slope,
-            "hs": list(self.hs),
-            "step_errors": list(self.step_errors),
-            "dense_errors": None if self.dense_errors is None else list(self.dense_errors),
-        }
-
-
-def convergence_study(
-    tab: ButcherTableau,
-    weights: DenseWeights | None,
-    problem: Problem,
-    u0,
-    t_end: float,
-    hs,
-) -> ConvergenceStudy:
-    """Observed convergence orders against the problem's exact solution.
-
-    For each step size the max error over step points from t = 0 and,
-    separately, over the off-step probe times t_n + theta*h, theta = 1/4,
-    1/2, 3/4, is recorded; the reported slopes are least-squares fits of log
-    error against log h.  Bad inputs raise before any integration: a step
-    not finite and positive, fewer than two distinct steps, a t_end not
-    finite or shorter than the longest step, or a step count t_end / h beyond
-    the float range.
-    """
-    if problem.exact is None:
-        raise ExactSolutionMissingError(
-            "convergence_study needs a problem with an exact solution"
-        )
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    hs = [float(h) for h in hs]
-    if not all(0.0 < h < np.inf for h in hs):
-        raise InvalidStepSizeError(f"step sizes must be finite and positive, got {hs}")
-    if len(set(hs)) < 2:
-        raise InvalidArgumentError("a convergence study needs two distinct step sizes")
-    if not max(hs) <= t_end < np.inf:
-        raise InvalidArgumentError(f"t_end must be finite and at least {max(hs)}, got {t_end}")
-    if not float(t_end) / min(hs) < np.inf:
-        raise InvalidArgumentError(f"t_end / h overflows for t_end={t_end}, h={min(hs)}")
-    thetas = (0.25, 0.5, 0.75)
-    step_errors = []
-    dense_errors = [] if weights is not None else None
-    for h in hs:
-        n_steps = int(round(t_end / h))
-        traj = integrate_fixed(tab, problem, u0, 0.0, h, n_steps)
-        times = traj.times()
-        worst = 0.0
-        for n, t in enumerate(times):
-            err = np.max(np.abs(traj.states[n] - problem.exact(t, u0)))
-            worst = max(worst, float(err))
-        step_errors.append(worst)
-        if weights is not None:
-            worst = 0.0
-            for n in range(n_steps):
-                values = dense_eval_grid(traj, weights, n, thetas)
-                for theta, value in zip(thetas, values):
-                    truth = problem.exact(times[n] + theta * h, u0)
-                    worst = max(worst, float(np.max(np.abs(value - truth))))
-            dense_errors.append(worst)
-    log_h = np.log(hs)
-    step_slope = float(np.polyfit(log_h, np.log(step_errors), 1)[0])
-    dense_slope = (
-        float(np.polyfit(log_h, np.log(dense_errors), 1)[0])
-        if dense_errors is not None
-        else None
-    )
-    return ConvergenceStudy(
-        hs=tuple(hs),
-        step_errors=tuple(step_errors),
-        dense_errors=None if dense_errors is None else tuple(dense_errors),
-        step_slope=step_slope,
-        dense_slope=dense_slope,
-    )

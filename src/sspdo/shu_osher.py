@@ -125,7 +125,7 @@ def shu_osher_step_equivalence(
     u_n = np.atleast_1d(np.asarray(u_n, dtype=float))
     thetas = np.asarray(thetas, dtype=float)
     u_next, stage_values, stage_derivs = step(tab, problem, 0.0, u_n, h)
-    traj = Trajectory(t0=0.0, h=h, states=[u_n, u_next], stage_derivs=[stage_derivs])
+    traj = Trajectory(h=h, states=[u_n, u_next], stage_derivs=[stage_derivs])
     worst = 0.0
     for theta, direct in zip(thetas, dense_eval_grid(traj, weights, 0, thetas)):
         converted = form.dense_value(u_n, stage_values, stage_derivs, h, theta)

@@ -25,8 +25,7 @@ from sspdo.construct import (
     quadrature_barrier_order3,
     second_order_weights,
 )
-from sspdo.experiments import run_figure1
-from sspdo.integrate import convergence_study
+from sspdo.experiments import convergence_study, run_figure1
 from sspdo.problems import sinode
 from sspdo.shu_osher import shu_osher_step_equivalence, to_shu_osher
 from sspdo.tableau import ButcherTableau, endpoint_check, validate_tableau
@@ -136,21 +135,13 @@ def test_c08_figure1_reproduction():
 
 def test_c09_empirical_orders():
     with criterion(9, "observed orders: dense 2 and 1, step 3"):
-        hs = (0.2, 0.1, 0.05, 0.025)
-        problem = sinode()
         entry = registry.get("ssp322")
-        study = convergence_study(
-            entry.tableau, entry.dense_weights, problem, 0.5, 2.0, hs
-        )
+        study = convergence_study(entry.tableau, entry.dense_weights)
         assert abs(study.dense_slope - 2.0) <= 0.2, study.dense_slope
         euler = validate_tableau([[0]], [1], name="euler")
-        study = convergence_study(
-            euler, first_order_weights(euler), problem, 0.5, 2.0, hs
-        )
+        study = convergence_study(euler, first_order_weights(euler))
         assert abs(study.dense_slope - 1.0) <= 0.2, study.dense_slope
-        study = convergence_study(
-            registry.get("ssp332").tableau, None, problem, 0.5, 2.0, hs
-        )
+        study = convergence_study(registry.get("ssp332").tableau, None)
         assert abs(study.step_slope - 3.0) <= 0.2, study.step_slope
 
 

@@ -5,20 +5,12 @@ from sspdo import registry
 from sspdo.construct import first_order_weights
 from sspdo.errors import (
     DimensionMismatchError,
-    ExactSolutionMissingError,
     InvalidArgumentError,
-    InvalidStepSizeError,
     NonfiniteStateError,
     StructureError,
 )
-from sspdo.integrate import (
-    Problem,
-    convergence_study,
-    dense_eval,
-    dense_eval_grid,
-    integrate_fixed,
-    step,
-)
+from sspdo.experiments import convergence_study
+from sspdo.integrate import Problem, dense_eval_grid, integrate_fixed, step
 from sspdo.problems import linear, quadrature, sinode
 from sspdo.tableau import ButcherTableau, DenseWeights, validate_tableau
 
@@ -57,7 +49,7 @@ def test_step_rejects_implicit():
 def test_nonfinite_state_carries_step_index():
     blowup = Problem(rhs=lambda t, u: u**3)
     with np.errstate(over="ignore"), pytest.raises(NonfiniteStateError) as info:
-        integrate_fixed(registry.get("ssp222").tableau, blowup, [1e200], 0.0, 10.0, 5)
+        integrate_fixed(registry.get("ssp222").tableau, blowup, [1e200], 10.0, 5)
     assert info.value.step_index is not None
 
 
@@ -66,64 +58,66 @@ def test_linear_problem_matches_stability_function():
     # R(z) = 1 + z + z^2/2
     tab = registry.get("ssp222").tableau
     h, n = 0.1, 10
-    traj = integrate_fixed(tab, linear(), [1.0], 0.0, h, n)  # u' = -u
+    traj = integrate_fixed(tab, linear(), [1.0], h, n)  # u' = -u
     z = -h
     expected = (1.0 + z + z * z / 2.0) ** n
     assert traj.states[-1][0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_zero_steps_trajectory():
-    traj = integrate_fixed(registry.get("ssp222").tableau, sinode(), [0.3], 0.0, 0.5, 0)
+    traj = integrate_fixed(registry.get("ssp222").tableau, sinode(), [0.3], 0.5, 0)
     assert traj.n_steps == 0
     assert np.array_equal(traj.states, [[0.3]])
 
 
 def test_dense_eval_at_zero_is_exact():
     entry = registry.get("ssp322")
-    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.0, 0.7, 3)
+    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.7, 3)
     for n in range(3):
-        assert np.array_equal(dense_eval(traj, entry.dense_weights, n, 0.0), traj.states[n])
+        value = dense_eval_grid(traj, entry.dense_weights, n, [0.0])[0]
+        assert np.array_equal(value, traj.states[n])
 
 
 def test_dense_eval_at_one_matches_next_step():
     entry = registry.get("ssp322")
-    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.0, 0.7, 3)
+    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.7, 3)
     for n in range(3):
-        value = dense_eval(traj, entry.dense_weights, n, 1.0)
+        value = dense_eval_grid(traj, entry.dense_weights, n, [1.0])[0]
         assert np.max(np.abs(value - traj.states[n + 1])) <= 1e-12
 
 
 def test_dense_eval_range_checks():
     entry = registry.get("ssp322")
-    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.0, 0.7, 3)
+    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.7, 3)
     with pytest.raises(IndexError):
-        dense_eval(traj, entry.dense_weights, 3, 0.5)
+        dense_eval_grid(traj, entry.dense_weights, 3, [0.5])
     with pytest.raises(ValueError):
-        dense_eval(traj, entry.dense_weights, 0, 1.5)
+        dense_eval_grid(traj, entry.dense_weights, 0, [1.5])
 
 
 def test_dense_eval_grid_argument_checks():
     entry = registry.get("ssp322")
-    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.0, 0.7, 2)
+    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.7, 2)
     for thetas in ([0.5, float("nan")], [0.5, 1.5]):
         with pytest.raises(InvalidArgumentError):
             dense_eval_grid(traj, entry.dense_weights, 1, thetas)
     with pytest.raises(InvalidArgumentError):
-        dense_eval(traj, entry.dense_weights, 1, float("nan"))
+        dense_eval_grid(traj, entry.dense_weights, 1, [float("nan")])
     two_stage = registry.get("ssp222").dense_weights
     with pytest.raises(DimensionMismatchError):
         dense_eval_grid(traj, two_stage, 1, [0.5])
     with pytest.raises(DimensionMismatchError):
-        dense_eval(traj, two_stage, 1, 0.5)
+        dense_eval_grid(traj, two_stage, 1, [0.5])
 
 
 def test_dense_eval_grid_matches_scalar():
     entry = registry.get("ssp322")
-    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.0, 0.7, 2)
+    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.7, 2)
     thetas = np.linspace(0, 1, 7)
     grid = dense_eval_grid(traj, entry.dense_weights, 1, thetas)
     for i, theta in enumerate(thetas):
-        assert np.array_equal(grid[i], dense_eval(traj, entry.dense_weights, 1, theta))
+        value = dense_eval_grid(traj, entry.dense_weights, 1, [theta])[0]
+        assert np.array_equal(grid[i], value)
 
 
 def test_quadrature_reduction():
@@ -133,7 +127,7 @@ def test_quadrature_reduction():
     tab, weights = entry.tableau, entry.dense_weights
     problem = quadrature()  # u' = cos(t)
     h = 0.3
-    traj = integrate_fixed(tab, problem, [0.2], 0.0, h, 4)
+    traj = integrate_fixed(tab, problem, [0.2], h, 4)
     rng = np.random.default_rng(3)
     for n in range(4):
         t_n = n * h
@@ -142,7 +136,7 @@ def test_quadrature_reduction():
                 weights.evaluate(theta)[j] * np.cos(t_n + tab.c[j] * h)
                 for j in range(tab.s)
             )
-            value = dense_eval(traj, weights, n, theta)[0]
+            value = dense_eval_grid(traj, weights, n, [theta])[0][0]
             assert abs(value - direct) <= 1e-14
 
 
@@ -151,8 +145,8 @@ def test_affine_covariance_autonomous():
     tab = registry.get("ssp322").tableau
     base = Problem(rhs=lambda t, u: -u)
     scaled = Problem(rhs=lambda t, u: -2.0 * u)
-    t1 = integrate_fixed(tab, base, [1.0], 0.0, 0.2, 8)
-    t2 = integrate_fixed(tab, scaled, [1.0], 0.0, 0.1, 8)
+    t1 = integrate_fixed(tab, base, [1.0], 0.2, 8)
+    t2 = integrate_fixed(tab, scaled, [1.0], 0.1, 8)
     assert np.max(np.abs(t1.states - t2.states)) <= 1e-13
 
 
@@ -164,7 +158,7 @@ def test_containment_invariance(h):
     n_u0 = 25
     problem = sinode()
     u0 = np.linspace(0, 1, n_u0)
-    traj = integrate_fixed(entry.tableau, problem, u0, 0.0, h, 7)
+    traj = integrate_fixed(entry.tableau, problem, u0, h, 7)
     thetas = np.linspace(0, 1, 25)
     for n in range(traj.n_steps):
         values = dense_eval_grid(traj, entry.dense_weights, n, thetas)
@@ -177,7 +171,7 @@ def test_nonssp_weights_escape():
     n_u0 = 25
     problem = sinode()
     u0 = np.linspace(0, 1, n_u0)
-    traj = integrate_fixed(entry.tableau, problem, u0, 0.0, 1.6, 7)
+    traj = integrate_fixed(entry.tableau, problem, u0, 1.6, 7)
     thetas = np.linspace(0, 1, 25)
     worst = min(
         dense_eval_grid(traj, registry.nonssp_weights_322(), n, thetas).min()
@@ -186,58 +180,12 @@ def test_nonssp_weights_escape():
     assert worst < 0.0
 
 
-def test_convergence_study_needs_exact():
-    problem = Problem(rhs=lambda t, u: -u)
-    with pytest.raises(ExactSolutionMissingError):
-        convergence_study(
-            registry.get("ssp222").tableau, None, problem, 1.0, 1.0, [0.1, 0.05]
-        )
-
-
-@pytest.mark.parametrize(
-    "t_end, hs, error",
-    [
-        (2.0, [0.1, 0.0], InvalidStepSizeError),
-        (2.0, [0.1, float("nan")], InvalidStepSizeError),
-        (2.0, [0.1, float("inf")], InvalidStepSizeError),
-        (2.0, [0.1, -0.1], InvalidStepSizeError),
-        (2.0, [], InvalidArgumentError),
-        (2.0, [0.1], InvalidArgumentError),
-        (2.0, [0.1, 0.1], InvalidArgumentError),
-        (0.0, [0.1, 0.05], InvalidArgumentError),
-        (float("nan"), [0.1, 0.05], InvalidArgumentError),
-        (float("inf"), [0.1, 0.05], InvalidArgumentError),
-        (2.0, [0.1, 5.0], InvalidArgumentError),
-        (1e300, [1e-10, 2e-10], InvalidArgumentError),
-    ],
-    ids=[
-        "zero-step", "nan-step", "inf-step", "negative-step", "no-steps",
-        "one-step", "repeated-step", "zero-t_end", "nan-t_end", "inf-t_end",
-        "step-above-t_end", "step-count-overflows",
-    ],
-)
-def test_convergence_study_rejects_bad_steps(t_end, hs, error):
-    def integrated(*args):
-        raise AssertionError("integrated before the inputs were checked")
-
-    problem = Problem(rhs=integrated, exact=lambda t, u0: u0)
-    with pytest.raises(error):
-        convergence_study(registry.get("ssp222").tableau, None, problem, 0.5, t_end, hs)
-
-
 def test_convergence_orders():
     entry = registry.get("ssp322")
-    hs = (0.2, 0.1, 0.05, 0.025)
-    study = convergence_study(
-        entry.tableau, entry.dense_weights, sinode(), 0.5, 2.0, hs
-    )
+    study = convergence_study(entry.tableau, entry.dense_weights)
     assert study.dense_slope == pytest.approx(2.0, abs=0.2)
     euler = validate_tableau([[0]], [1])
-    study = convergence_study(
-        euler, first_order_weights(euler), sinode(), 0.5, 2.0, hs
-    )
+    study = convergence_study(euler, first_order_weights(euler))
     assert study.dense_slope == pytest.approx(1.0, abs=0.2)
-    study = convergence_study(
-        registry.get("ssp332").tableau, None, sinode(), 0.5, 2.0, hs
-    )
+    study = convergence_study(registry.get("ssp332").tableau, None)
     assert study.step_slope == pytest.approx(3.0, abs=0.2)

@@ -308,7 +308,7 @@ def test_integrate_dense_values_are_dense_eval_grid(key, capsys):
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     printed = np.array([float(row[2]) for row in rows if row[3] == "0"]).reshape(10, 7)
     entry = registry.get(key)
-    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.0, 0.5, 10)
+    traj = integrate_fixed(entry.tableau, sinode(), [0.3], 0.5, 10)
     thetas = np.arange(1, 8) / 8
     grid = [dense_eval_grid(traj, entry.dense_weights, n, thetas)[:, 0] for n in range(10)]
     assert np.array_equal(printed, grid)
@@ -968,7 +968,7 @@ def test_figure1_csv_matches_per_value_repr(tmp_path):
     entry = registry.get("numexample-322")
     u0s = np.linspace(0.0, 1.0, FIGURE1_N_U0)
     thetas = np.linspace(0.0, 1.0, FIGURE1_N_THETA)
-    traj = integrate_fixed(entry.tableau, sinode(), u0s, 0.0, h, n_steps)
+    traj = integrate_fixed(entry.tableau, sinode(), u0s, h, n_steps)
     weight_sets = {"ssp": entry.dense_weights, "nonssp": registry.nonssp_weights_322()}
     for formula, weights in weight_sets.items():
         lines = ["u0,t,theta,u,formula\n"]
