@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import poly, registry
-from .certify import BISECT_TOL, compute_certificate
+from .certify import BISECT_TOL, R_CAP, compute_certificate
 from .construct import (
     family_tableau,
     first_order_weights,
@@ -61,16 +61,21 @@ def _load_method(args, weights_for: str | None = None):
     return tab, weights
 
 
+def _coefficient(r: float) -> str:
+    # bisection returns the cap only when the probe is still feasible there
+    return f"unbounded (feasible at the cap {R_CAP:g})" if r == R_CAP else f"{r:.12g}"
+
+
 def _cmd_certify(args) -> int:
     tab, weights = _load_method(args, "--dense" if args.dense else None)
     cert = compute_certificate(tab, weights if args.dense else None)
     if args.format == "human":
         name = tab.name or "tableau"
         print(f"certification of {name} (s={tab.s}, tol={BISECT_TOL:g})")
-        print(f"  {'r_method':<12} {cert.r_method:.12g}")
+        print(f"  {'r_method':<12} {_coefficient(cert.r_method)}")
         if cert.r_dense is not None:
-            print(f"  {'r_dense':<12} {cert.r_dense:.12g}")
-            print(f"  {'r_combined':<12} {cert.r_combined:.12g}")
+            print(f"  {'r_dense':<12} {_coefficient(cert.r_dense)}")
+            print(f"  {'r_combined':<12} {_coefficient(cert.r_combined)}")
         print(f"  {'gamma':<12} {cert.gamma:.12g}")
         if cert.xineq_holds is not None:
             verdict = "holds" if cert.xineq_holds else "fails"

@@ -486,6 +486,8 @@ def lp_search(
     the iteration bound or by a numerical breakdown) ends the search
     "inconclusive".  Every "feasible" carries weights certified continuously
     in the Bernstein basis; "infeasible" and "inconclusive" carry none.
+    The weights vanish at theta = 0, but nothing pins w(1) = b: a feasible
+    formula's value at theta = 1 can differ from the step's.
     """
     levels = sorted({level for _, level, _, _ in dense_order_conditions(tab)})
     if order not in levels:

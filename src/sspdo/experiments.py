@@ -179,7 +179,7 @@ def convergence_study(tab: ButcherTableau, weights: DenseWeights | None) -> Conv
     error against log h.
     """
     problem = sinode()
-    u0 = np.atleast_1d(np.asarray(STUDY_U0, dtype=float))
+    u0 = np.array([STUDY_U0])
     thetas = (0.25, 0.5, 0.75)
     step_errors = []
     dense_errors = [] if weights is not None else None

@@ -144,6 +144,20 @@ def test_certify_dense_from_file(tmp_path, capsys):
     assert record["r_combined"] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_certify_human_marks_an_unbounded_coefficient(tmp_path, capsys):
+    # implicit Euler is feasible at every radius, so bisection stops at the
+    # cap R_CAP = 1e6; the human lines must not print the cap as a number
+    path = tmp_path / "implicit-euler.json"
+    path.write_text(json.dumps({"A": [[1]], "b": [1], "bbar": [[0, 1]]}))
+    assert main(["certify", "--tableau", str(path), "--dense"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for label in ("r_method", "r_dense", "r_combined"):
+        (line,) = [line for line in lines if line.split()[0] == label]
+        assert line.split()[1] == "unbounded", line
+        assert "1000000" not in line, line
+    assert json.loads(lines[-1])["method_unbounded"] is True
+
+
 def test_certify_ignores_a_tolerance_in_the_environment(tmp_path, monkeypatch, capsys):
     # the bisection tolerance is the constant certify.BISECT_TOL, so
     # SSPDO_TOL, which once set it, is ignored; r_dense 2.897271185356658 is
@@ -1033,3 +1047,14 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv) == 0, argv
         assert capsys.readouterr().err == "", argv
+
+
+# ------------------------------------------------------------------- package
+
+def test_package_exports_each_name_once():
+    names = sspdo.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(sspdo, name)] == []
+    namespace = {}
+    exec("from sspdo import *", namespace)
+    assert set(names) <= namespace.keys()
