@@ -61,28 +61,39 @@ NEWTON_RTOL = 1e-13     # a Newton step this small, relative to r, ends the iter
 
 
 @functools.cache
-def _lapack():
-    """scipy's LAPACK extension, scipy.linalg._flapack, loaded at the first
-    call and on its own.  scipy.linalg.lapack only re-exports its routines,
-    so they are the same function objects; importing the scipy.linalg
-    package would add ~0.3 s, ~27 MB and ~300 modules to a process, and the
-    extension alone adds ~4 MB.  The module is registered under its full
-    name, so a later import of scipy.linalg reuses it, and one already
-    loaded is returned as it is.  construct, integrate, figure1 and
-    convergence never invert.  Cached, because an import statement in
-    resolvent costs ~2.4 us per call, ~1.5% of a sweep."""
-    name = "scipy.linalg._flapack"
+def scipy_extension(name: str):
+    """scipy's compiled extension module name (such as
+    "scipy.linalg._flapack"), loaded at the first call and on its own, or
+    None where this scipy release ships no such extension.
+
+    Importing the package around it would run the package's __init__: the
+    scipy.linalg package adds ~0.3 s, ~27 MB and ~300 modules to a process,
+    and scipy.optimize brings scipy.linalg and scipy.sparse along; an
+    extension alone adds a few MB.  The module is registered under its full
+    name, so a later import of its package reuses it, and one already loaded
+    is returned as it is.  Cached, because an import statement in resolvent
+    costs ~2.4 us per call, ~1.5% of a sweep."""
     if name in sys.modules:
         return sys.modules[name]
     import scipy
 
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(scipy.__path__[0], "linalg")]
-    )
+    package, _, _ = name.rpartition(".")
+    directory = os.path.join(scipy.__path__[0], *package.split(".")[1:])
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+    if spec is None:
+        return None
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _lapack():
+    """scipy's LAPACK extension, scipy.linalg._flapack, whose routines
+    scipy.linalg.lapack re-exports as the same function objects: the
+    resolvent's inversions and the LP search's pivoted QR.  integrate,
+    figure1 and convergence never load it."""
+    return scipy_extension("scipy.linalg._flapack")
 
 
 @np.errstate(over="ignore")
@@ -682,15 +693,18 @@ def compute_certificate(
     """Full certificate: method coefficient, dense coefficient when weights are
     given, their min, gamma, and the budget-inequality verdict, built in one
     pass from the method's sup, the dense sup (None without weights) and the
-    budget-inequality report (None when the method coefficient is 0, where
-    gamma is read at r = 0).  The method's witnesses come first.
+    budget-inequality report.  That report is None when the method
+    coefficient is 0 or unbounded (feasible at R_CAP), where gamma is read at
+    r = 0 or at the cap and an inequality in C would judge the cap, not the
+    method.  The method's witnesses come first.
 
     Each coefficient is the highest radius probed feasible, bisected to
     BISECT_TOL: at most 1e-10 below the sup of a probe whose sign checks
     allow SIGN_TOL (1e-12) of slack, so it can exceed the exact C."""
     method = ssp_coefficient_detailed(tab)
     dense = None if weights is None else dense_ssp_coefficient_detailed(tab, weights)
-    xineq = check_xineq(tab, r=method.value) if method.value > 0 else None
+    bounded = method.value > 0 and not method.unbounded
+    xineq = check_xineq(tab, r=method.value) if bounded else None
     sups = (method,) if dense is None else (method, dense)
     return SspCertificate(
         r_method=method.value,

@@ -358,6 +358,26 @@ def test_margin_skips_the_rows_the_pins_fix():
     assert construct._margin_rows(problem).all()
 
 
+@pytest.mark.parametrize("shape", [(12, 5), (5, 5), (4, 9)], ids=["tall", "square", "wide"])
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_pivoted_qr_has_scipys_bits(shape, rank_deficient):
+    # dgeqp3 and dorgqr with queried workspaces, as scipy.linalg.qr calls them
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    a = np.random.default_rng(sum(shape)).normal(size=shape)
+    if rank_deficient:
+        a[:, -1] = a[:, 0]
+    for operand in (a, np.asfortranarray(a)):
+        Q, R, _ = scipy_linalg.qr(operand, mode="economic", pivoting=True)
+        q, diagonal = construct._pivoted_qr(operand)
+        assert q.shape == Q.shape and q.tobytes() == Q.tobytes()
+        assert diagonal.tobytes() == np.diag(R).tobytes()
+    # the search's own operand: A_eq^T of the benchmark search
+    A_eq_T = build_lp(family_tableau(5), order=2, degree=3, r=4.0).A_eq.T
+    Q, R, _ = scipy_linalg.qr(A_eq_T, mode="economic", pivoting=True)
+    q, diagonal = construct._pivoted_qr(A_eq_T)
+    assert q.tobytes() == Q.tobytes() and diagonal.tobytes() == np.diag(R).tobytes()
+
+
 def test_lp_restriction_rows_are_bernstein_coefficients():
     # the slack of each restriction row is one elevated Bernstein coefficient
     # of a transformed weight or of the step budget

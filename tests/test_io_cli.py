@@ -158,6 +158,20 @@ def test_certify_human_marks_an_unbounded_coefficient(tmp_path, capsys):
     assert json.loads(lines[-1])["method_unbounded"] is True
 
 
+def test_certify_leaves_the_budget_inequality_of_an_unbounded_method_unjudged(tmp_path, capsys):
+    # at the cap, gamma <= 1 - C/4 would read 1e-6 <= -249999 and judge the
+    # cap; like C = 0, an unbounded C has no inequality to judge
+    path = tmp_path / "implicit-euler.json"
+    path.write_text(json.dumps({"A": [[1]], "b": [1], "bbar": [[0, 1]]}))
+    assert main(["certify", "--tableau", str(path), "--dense"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if line.split()[0] == "xineq"], lines
+    record = json.loads(lines[-1])
+    assert record["method_unbounded"] is True
+    assert (record["xineq_holds"], record["xineq_lhs"], record["xineq_rhs"]) == (None, None, None)
+    assert record["gamma"] == pytest.approx(1e-6, rel=1e-5)
+
+
 def test_certify_ignores_a_tolerance_in_the_environment(tmp_path, monkeypatch, capsys):
     # the bisection tolerance is the constant certify.BISECT_TOL, so
     # SSPDO_TOL, which once set it, is ignored; r_dense 2.897271185356658 is
@@ -666,12 +680,12 @@ def test_search_inconclusive_exits_zero_without_weights(monkeypatch, capsys):
 
 def test_search_solver_breakdown_is_inconclusive(monkeypatch, capsys):
     # HiGHS status 4 (numerical breakdown) decides nothing: exit 0, inconclusive
-    import scipy.optimize
+    from sspdo import simplex
 
     def numerical_difficulties(*args, **kwargs):
-        return scipy.optimize.OptimizeResult(status=4, message="stub", nit=0)
+        return 4, None, 0, "stub"
 
-    monkeypatch.setattr(scipy.optimize, "linprog", numerical_difficulties)
+    monkeypatch.setattr(simplex, "_solve", numerical_difficulties)
     assert lp_search(registry.get("family-s5").tableau, 2, 3, 4.0).status == "inconclusive"
     argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"]
     assert main(argv + ["--format", "record"]) == 0
@@ -695,12 +709,12 @@ SEARCH_S10 = ["search", "--stages", "10", "--order", "2", "--degree", "6", "--r"
 
 def test_search_iteration_bound_is_inconclusive(monkeypatch, capsys):
     # HiGHS status 1 (iteration bound) decides nothing: exit 0, inconclusive
-    import scipy.optimize
+    from sspdo import simplex
 
     def iteration_limit(*args, **kwargs):
-        return scipy.optimize.OptimizeResult(status=1, message="stub", nit=7)
+        return 1, None, 7, "stub"
 
-    monkeypatch.setattr(scipy.optimize, "linprog", iteration_limit)
+    monkeypatch.setattr(simplex, "_solve", iteration_limit)
     argv = ["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"]
     assert main(argv + ["--format", "record"]) == 0
     assert json.loads(capsys.readouterr().out) == {
@@ -712,21 +726,19 @@ def test_search_iteration_bound_is_inconclusive(monkeypatch, capsys):
 def test_search_solves_are_bounded(monkeypatch, capsys):
     # this search certifies after about 590 HiGHS iterations; with a bound of
     # 100 its first LP stops and the search must end inconclusive
-    import scipy.optimize
-
     from sspdo import simplex
 
     iterations = []
-    linprog = scipy.optimize.linprog
+    solve = simplex._solve
 
-    def counting(*args, **kwargs):
-        assert kwargs["options"] == {"maxiter": 100}
-        result = linprog(*args, **kwargs)
-        iterations.append(result.nit)
+    def counting(*args):
+        assert args[-1] == 100  # the iteration bound HiGHS gets
+        result = solve(*args)
+        iterations.append(result[2])
         return result
 
     monkeypatch.setattr(simplex, "MAX_ITERATIONS", 100)
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    monkeypatch.setattr(simplex, "_solve", counting)
     assert main(SEARCH_S10 + ["--format", "record"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "status": "inconclusive", "certified": False, "weights": None,
@@ -742,11 +754,11 @@ def test_search_at_degree_ten_decides(capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # LAPACK's extension costs about 4 MB at a resolvent's first call; the
-    # scipy.linalg package about 0.3 s and 27 MB, and scipy.optimize about
-    # 0.3 s and 20 MB more, at an LP solve's; never at the CLI start.  Nor
-    # does the start load numpy.polynomial (9 modules, 3-5 ms) or build
-    # main's parser.
+    # LAPACK's extension costs about 4 MB at a resolvent's first call and
+    # HiGHS's a few MB more at an LP solve's; the scipy.linalg package would
+    # cost about 0.3 s and 27 MB, and scipy.optimize about 0.3 s and 20 MB
+    # more.  None loads at the CLI start.  Nor does the start load
+    # numpy.polynomial (9 modules, 3-5 ms) or build main's parser.
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -766,7 +778,8 @@ _SCIPY_LINALG_PROBE = """
 import sys
 from sspdo.cli import main
 code = main(sys.argv[1:])
-print("scipy.linalg._flapack" in sys.modules, "scipy.linalg" in sys.modules)
+print("scipy.linalg._flapack" in sys.modules, "scipy.linalg" in sys.modules,
+      "scipy.optimize" in sys.modules)
 sys.exit(code)
 """
 
@@ -782,14 +795,15 @@ sys.exit(code)
         (["certify", "--method", "ssp222", "--format", "record"], True, False),
         (["shu-osher", "--method", "ssp322", "--C", "2"], True, False),
         (["search", "--stages", "5", "--order", "2", "--degree", "3", "--r", "4"],
-         True, True),
+         True, False),
     ],
     ids=["figure1", "integrate", "convergence", "construct", "certify",
          "shu-osher", "search"],
 )
 def test_only_a_resolvent_loads_scipy_linalg(argv, loads_flapack, loads_linalg, tmp_path):
-    # a cold process: a resolvent loads LAPACK's extension alone, and only
-    # the LP search (scipy.optimize) loads the scipy.linalg package
+    # a cold process: a resolvent and the LP search's QR load LAPACK's
+    # extension alone, and the LP search HiGHS's; nothing loads the
+    # scipy.linalg or scipy.optimize package
     argv = [str(tmp_path) if a == "OUT" else a for a in argv]
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -799,7 +813,7 @@ def test_only_a_resolvent_loads_scipy_linalg(argv, loads_flapack, loads_linalg, 
     )
     assert out.returncode == 0, out.stderr
     *lines, loaded = out.stdout.splitlines()
-    assert loaded == f"{loads_flapack} {loads_linalg}"
+    assert loaded == f"{loads_flapack} {loads_linalg} False"
     if argv[0] == "certify":
         assert json.loads(lines[0])["r_method"] == 1.0
 
