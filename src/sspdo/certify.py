@@ -88,14 +88,6 @@ def scipy_extension(name: str):
     return module
 
 
-def _lapack():
-    """scipy's LAPACK extension, scipy.linalg._flapack, whose routines
-    scipy.linalg.lapack re-exports as the same function objects: the
-    resolvent's inversions and the LP search's pivoted QR.  integrate,
-    figure1 and convergence never load it."""
-    return scipy_extension("scipy.linalg._flapack")
-
-
 @np.errstate(over="ignore")
 def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
     """Inverse of I + r*A from LAPACK's inversion routines.
@@ -107,12 +99,14 @@ def resolvent(tab: ButcherTableau, r: float) -> np.ndarray:
     1e-12, raises SingularMatrixError.  These routines stay on one thread at
     these sizes, whereas a solve against the identity (dtrtrs, lu_solve)
     hands its s right-hand sides to OpenBLAS's threaded trsm, whose worker
-    thread then spins between probes.  LAPACK's extension is loaded at the
-    first call (_lapack), not with the module, so the CLI starts without
-    scipy.  An entry of r*A that overflows fails the finiteness check
-    without a numpy warning.
+    thread then spins between probes.  LAPACK's extension,
+    scipy.linalg._flapack, whose routines scipy.linalg.lapack re-exports as
+    the same function objects, is loaded at the first call, not with the
+    module, so the CLI starts without scipy; integrate, figure1 and
+    convergence never load it.  An entry of r*A that overflows fails the
+    finiteness check without a numpy warning.
     """
-    lapack = _lapack()
+    lapack = scipy_extension("scipy.linalg._flapack")
     B = np.eye(tab.s) + r * tab.A
     if tab.explicit:
         return lapack.dtrtri(B, lower=1, unitdiag=1)[0]
@@ -634,10 +628,17 @@ def check_xineq(tab: ButcherTableau, r: float | None = None) -> XineqReport:
     coefficient r.
 
     Requires a positive SSP coefficient; gamma carries the bisection error of
-    the coefficient when r is not supplied exactly.
+    the coefficient when r is not supplied exactly.  An unbounded coefficient
+    (feasible at R_CAP) raises InvalidArgumentError, like r <= 0: the
+    inequality at the cap would judge the cap, not the method.
     """
     if r is None:
-        r = ssp_coefficient(tab)
+        method = ssp_coefficient_detailed(tab)
+        if method.unbounded:
+            raise InvalidArgumentError(
+                "the budget inequality needs a bounded SSP coefficient"
+            )
+        r = method.value
     if r <= 0:
         raise InvalidArgumentError("the budget inequality needs a positive SSP coefficient")
     lhs = gamma_at(tab, r)
@@ -662,6 +663,7 @@ class SspCertificate:
     xineq_rhs: float | None
     witnesses: tuple[Violation, ...]
     method_unbounded: bool = False
+    dense_unbounded: bool | None = None
     conservative: bool = False
 
     def as_record(self) -> dict:
@@ -674,6 +676,7 @@ class SspCertificate:
             "xineq_lhs": self.xineq_lhs,
             "xineq_rhs": self.xineq_rhs,
             "method_unbounded": self.method_unbounded,
+            "dense_unbounded": self.dense_unbounded,
             "conservative": self.conservative,
             "witnesses": [
                 {
@@ -718,5 +721,6 @@ def compute_certificate(
             v for sup in sups if sup.first_infeasible for v in sup.first_infeasible.violations
         ),
         method_unbounded=method.unbounded,
+        dense_unbounded=None if dense is None else dense.unbounded,
         conservative=any(sup.conservative for sup in sups),
     )

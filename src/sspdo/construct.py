@@ -25,7 +25,6 @@ from .certify import (
     MAX_DEGREE,
     SIGN_TOL,
     CertStatus,
-    _lapack,
     bernstein_matrix,
     condition_map,
     monotonicity_feasible_dense,
@@ -426,35 +425,16 @@ def build_lp(
     )
 
 
-def _lapack_call(routine, *args):
-    """A LAPACK routine's outputs, without its workspace and info, after a
-    workspace-size query, as scipy.linalg does; an illegal argument raises."""
-    lwork = int(routine(*args, lwork=-1)[-2][0])
-    *outputs, _, info = routine(*args, lwork=lwork)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
-    return outputs
-
-
-def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q and the diagonal of R of the pivoted QR of a, in economic mode, from
-    LAPACK's dgeqp3 and dorgqr: the bits of
-    scipy.linalg.qr(a, mode="economic", pivoting=True)."""
-    lapack = _lapack()
-    qr, _, tau = _lapack_call(lapack.dgeqp3, a)
-    # a wide a keeps its first len(a) columns, a tall one all of them
-    (Q,) = _lapack_call(lapack.dorgqr, qr[:, : len(qr)], tau)
-    return Q, np.diag(qr)
-
-
 def _margin_rows(problem: LpProblem) -> np.ndarray:
     """Mask of the inequality rows outside the row space of the equalities,
-    from one pivoted QR of A_eq^T.  The rows inside it, such as the first
-    Bernstein coefficients that the theta=0 pins fix, can keep no margin."""
-    Q, diagonal = _pivoted_qr(problem.A_eq.T)
-    Q = Q[:, np.abs(diagonal) > 1e-9 * abs(diagonal[0])]
+    from one SVD of A_eq: its right singular vectors with sigma above 1e-9
+    sigma_max, a prefix of Vt, span that space.  The rows inside it, such as
+    the first Bernstein coefficients that the theta=0 pins fix, can keep no
+    margin."""
+    sigma, Vt = np.linalg.svd(problem.A_eq, full_matrices=False)[1:]
+    Vt = Vt[: np.count_nonzero(sigma > 1e-9 * sigma[0])]
     A = problem.A_ub
-    return np.linalg.norm(A - (A @ Q) @ Q.T, axis=1) > 1e-9 * np.linalg.norm(A, axis=1)
+    return np.linalg.norm(A - (A @ Vt.T) @ Vt, axis=1) > 1e-9 * np.linalg.norm(A, axis=1)
 
 
 def _solve_lp(problem: LpProblem, margin: bool = True) -> DenseWeights | None:

@@ -1039,6 +1039,15 @@ def test_xineq_ssp222():
     assert report.rhs == pytest.approx(0.75, abs=1e-9)
 
 
+def test_xineq_rejects_an_unbounded_method():
+    # implicit Euler is feasible at every radius, so bisection stops at the
+    # cap R_CAP; gamma <= 1 - C/4 there would read 1e-6 <= -249999 and judge
+    # the cap, not the method
+    tab = ButcherTableau(A=np.array([[1.0]]), b=np.array([1.0]))
+    with pytest.raises(InvalidArgumentError, match="bounded SSP coefficient"):
+        check_xineq(tab)
+
+
 # ------------------------------------------------------------- certificate
 
 def test_certificate_fields():
@@ -1150,7 +1159,7 @@ linalg_loaded = "scipy.linalg" in sys.modules
 import scipy.linalg
 from scipy.linalg import lapack
 
-ext = certify._lapack()
+ext = certify.scipy_extension("scipy.linalg._flapack")
 lu, piv, _ = lapack.dgetrf(np.eye(3) + 3.0 * implicit.A)
 print(json.dumps({
     "growth_kb": growth_kb,

@@ -358,24 +358,25 @@ def test_margin_skips_the_rows_the_pins_fix():
     assert construct._margin_rows(problem).all()
 
 
-@pytest.mark.parametrize("shape", [(12, 5), (5, 5), (4, 9)], ids=["tall", "square", "wide"])
-@pytest.mark.parametrize("rank_deficient", [False, True])
-def test_pivoted_qr_has_scipys_bits(shape, rank_deficient):
-    # dgeqp3 and dorgqr with queried workspaces, as scipy.linalg.qr calls them
+@pytest.mark.parametrize(
+    "s, degree, r, fixed",
+    [(5, 3, 4.0, (0, 6)), (20, 10, 0.999 * 19, (0, 21)), (2, 2, 1.0, (102, 102))],
+    ids=["benchmark-search", "rank-deficient", "all-rows-fixed"],
+)
+def test_margin_rows_match_a_null_space_reference(s, degree, r, fixed):
+    # a row lies outside the row space of the equalities iff it has a
+    # component along their null space; A_eq of family-s20, degree 10 has
+    # cond 2.3e17, and at family-s2, r = C the equalities fix every row
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    a = np.random.default_rng(sum(shape)).normal(size=shape)
-    if rank_deficient:
-        a[:, -1] = a[:, 0]
-    for operand in (a, np.asfortranarray(a)):
-        Q, R, _ = scipy_linalg.qr(operand, mode="economic", pivoting=True)
-        q, diagonal = construct._pivoted_qr(operand)
-        assert q.shape == Q.shape and q.tobytes() == Q.tobytes()
-        assert diagonal.tobytes() == np.diag(R).tobytes()
-    # the search's own operand: A_eq^T of the benchmark search
-    A_eq_T = build_lp(family_tableau(5), order=2, degree=3, r=4.0).A_eq.T
-    Q, R, _ = scipy_linalg.qr(A_eq_T, mode="economic", pivoting=True)
-    q, diagonal = construct._pivoted_qr(A_eq_T)
-    assert q.tobytes() == Q.tobytes() and diagonal.tobytes() == np.diag(R).tobytes()
+    relaxation = build_lp(family_tableau(s), order=2, degree=degree, r=r)
+    restriction = replace(relaxation, basis=construct._bernstein_basis(degree))
+    null = scipy_linalg.null_space(relaxation.A_eq)
+    for problem, n_fixed in zip((relaxation, restriction), fixed):
+        A = problem.A_ub
+        reference = np.linalg.norm(A @ null, axis=1) > 1e-9 * np.linalg.norm(A, axis=1)
+        mask = construct._margin_rows(problem)
+        assert np.array_equal(mask, reference)
+        assert np.count_nonzero(~mask) == n_fixed
 
 
 def test_lp_restriction_rows_are_bernstein_coefficients():

@@ -172,6 +172,27 @@ def test_certify_leaves_the_budget_inequality_of_an_unbounded_method_unjudged(tm
     assert record["gamma"] == pytest.approx(1e-6, rel=1e-5)
 
 
+@pytest.mark.parametrize(
+    "source, dense, flag",
+    [("implicit-euler", True, True), ("ssp322", True, False), ("ssp322", False, None)],
+    ids=["unbounded", "bounded", "no-dense"],
+)
+def test_certify_record_flags_an_unbounded_dense_coefficient(tmp_path, capsys, source, dense, flag):
+    # the record prints the cap R_CAP = 1e6 for an unbounded dense sup, so a
+    # flag, next to method_unbounded, says which; without --dense it is null
+    if source == "implicit-euler":
+        path = tmp_path / "implicit-euler.json"
+        path.write_text(json.dumps({"A": [[1]], "b": [1], "bbar": [[0, 1]]}))
+        argv = ["certify", "--tableau", str(path)]
+    else:
+        argv = ["certify", "--method", source]
+    assert main(argv + ["--dense"] * dense + ["--format", "record"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["dense_unbounded"] is flag
+    keys = list(record)
+    assert keys[keys.index("method_unbounded") + 1] == "dense_unbounded"
+
+
 def test_certify_ignores_a_tolerance_in_the_environment(tmp_path, monkeypatch, capsys):
     # the bisection tolerance is the constant certify.BISECT_TOL, so
     # SSPDO_TOL, which once set it, is ignored; r_dense 2.897271185356658 is
@@ -801,9 +822,9 @@ sys.exit(code)
          "shu-osher", "search"],
 )
 def test_only_a_resolvent_loads_scipy_linalg(argv, loads_flapack, loads_linalg, tmp_path):
-    # a cold process: a resolvent and the LP search's QR load LAPACK's
-    # extension alone, and the LP search HiGHS's; nothing loads the
-    # scipy.linalg or scipy.optimize package
+    # a cold process: a resolvent loads LAPACK's extension alone, and the
+    # LP search HiGHS's; nothing loads the scipy.linalg or scipy.optimize
+    # package
     argv = [str(tmp_path) if a == "OUT" else a for a in argv]
     src = os.path.dirname(os.path.dirname(sspdo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
