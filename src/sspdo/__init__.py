@@ -2,9 +2,9 @@
 
 The package certifies SSP coefficients of methods and of their dense-output
 (continuous-extension) formulas, constructs first- and second-order SSP dense
-weights, exposes the order-3 non-existence barrier as executable checks,
-converts to Shu-Osher implementation form, and integrates with stored stages
-for dense evaluation anywhere in a step.
+weights, searches for others (answering order 3 with the non-existence
+barrier), converts to Shu-Osher implementation form, and integrates with
+stored stages for dense evaluation anywhere in a step.
 """
 
 from . import errors
@@ -26,14 +26,11 @@ from .certify import (
     ssp_coefficient,
 )
 from .construct import (
-    BarrierVerdict,
     LpProblem,
     SearchResult,
-    barrier_first_derivative,
     family_tableau,
     first_order_weights,
     lp_search,
-    quadrature_barrier_order3,
     second_order_weights,
 )
 from .experiments import ConvergenceStudy, convergence_study
@@ -61,7 +58,6 @@ from .tableau_io import load_tableau_file, save_tableau_file
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierVerdict",
     "ButcherTableau",
     "CertStatus",
     "ConvergenceStudy",
@@ -79,7 +75,6 @@ __all__ = [
     "Trajectory",
     "Violation",
     "XineqReport",
-    "barrier_first_derivative",
     "check_xineq",
     "compute_certificate",
     "convergence_study",
@@ -103,7 +98,6 @@ __all__ = [
     "monotonicity_feasible_method",
     "poly_nonneg_on_unit",
     "quadrature",
-    "quadrature_barrier_order3",
     "resolvent",
     "save_tableau_file",
     "second_order_weights",

@@ -46,7 +46,7 @@ from .errors import (
     PostVerificationError,
     SingularMatrixError,
 )
-from .tableau import ButcherTableau, DenseWeights, check_stage_count
+from .tableau import ButcherTableau, DenseWeights, check_stage_count, endpoint_check
 
 SIGN_TOL = 1e-12        # slack allowed on both sides: >= -1e-12 and <= 1 + 1e-12
 PIVOT_TOL = 1e-12
@@ -652,6 +652,8 @@ class SspCertificate:
 
     r_combined is the min of the method and dense coefficients and is what
     limits the usable step size when dense output is evaluated.
+    dense_matches_b says whether the dense weights meet b at theta = 1
+    (endpoint_check); r_dense does not depend on it.
     """
 
     r_method: float
@@ -664,6 +666,7 @@ class SspCertificate:
     witnesses: tuple[Violation, ...]
     method_unbounded: bool = False
     dense_unbounded: bool | None = None
+    dense_matches_b: bool | None = None
     conservative: bool = False
 
     def as_record(self) -> dict:
@@ -677,6 +680,7 @@ class SspCertificate:
             "xineq_rhs": self.xineq_rhs,
             "method_unbounded": self.method_unbounded,
             "dense_unbounded": self.dense_unbounded,
+            "dense_matches_b": self.dense_matches_b,
             "conservative": self.conservative,
             "witnesses": [
                 {
@@ -722,5 +726,6 @@ def compute_certificate(
         ),
         method_unbounded=method.unbounded,
         dense_unbounded=None if dense is None else dense.unbounded,
+        dense_matches_b=None if weights is None else endpoint_check(tab, weights).right_matches_b,
         conservative=any(sup.conservative for sup in sups),
     )

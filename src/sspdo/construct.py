@@ -1,16 +1,19 @@
-"""Construction of SSP dense-output weights and executable non-existence barriers.
+"""Construction of SSP dense-output weights, and the search that decides
+whether any exist.
 
 Two closed-form recipes cover most practical needs: scaling the step weights
 linearly in theta always keeps the full SSP coefficient at first order, and a
 quadratic recipe gives second order whenever the first row of A is zero.  For
-anything else, lp_search solves max-margin LPs over the free polynomial
-coefficients with scipy's HiGHS solver.  A Bernstein restriction (nonnegative
-Bernstein coefficients after degree elevation, or its vertex where its margin
-point fails) yields weights that satisfy the conditions for every theta; a
-collocation relaxation (conditions at finitely many theta) can prove that no
-weights exist.  Every candidate is certified in the Bernstein basis before it
-is reported, so the verdict is "feasible" with certified weights, "infeasible",
-or "inconclusive".
+anything else, lp_search first screens closed-form causes of non-existence,
+among them the order-3 barrier (no order-3 dense output keeps a positive SSP
+coefficient when A >= 0), and then solves max-margin LPs over the free
+polynomial coefficients with scipy's HiGHS solver.  A Bernstein restriction
+(nonnegative Bernstein coefficients after degree elevation, or its vertex
+where its margin point fails) yields weights that satisfy the conditions for
+every theta; a collocation relaxation (conditions at finitely many theta) can
+prove that no weights exist.  Every candidate is certified in the Bernstein
+basis before it is reported, so the verdict is "feasible" with certified
+weights, "infeasible", or "inconclusive".
 """
 
 from __future__ import annotations
@@ -24,28 +27,22 @@ from . import poly
 from .certify import (
     MAX_DEGREE,
     SIGN_TOL,
-    CertStatus,
     bernstein_matrix,
     condition_map,
     monotonicity_feasible_dense,
     monotonicity_feasible_method,
-    poly_nonneg_on_unit,
     resolvent,
 )
 from .errors import (
     DegreeTooHighError,
-    DimensionMismatchError,
     InvalidArgumentError,
     NumericalCycleError,
-    RepeatedAbscissaeError,
     StructureError,
 )
 from .simplex import phase1_feasible
 from .tableau import (
-    EXACT_TOL,
     ButcherTableau,
     DenseWeights,
-    check_stage_count,
     dense_order_conditions,
     dense_order_residuals,
     method_order_residuals,
@@ -112,120 +109,6 @@ def second_order_weights(tab: ButcherTableau) -> DenseWeights:
     coeffs[0, 2] = -(1.0 - tab.b[0])
     coeffs[1:, 2] = tab.b[1:]
     return DenseWeights(coeffs)
-
-
-def barrier_first_derivative(tab: ButcherTableau, weights: DenseWeights) -> bool:
-    """True iff the weight derivatives at 0 are pinned, to within EXACT_TOL,
-    the way any order-2 dense output with positive combined SSP coefficient
-    must have them: 1 on stage 1 and 0 elsewhere."""
-    check_stage_count(tab, weights)
-    d1 = weights.coeffs[:, 1] if weights.degree >= 1 else np.zeros(weights.s)
-    return bool(abs(d1[0] - 1.0) <= EXACT_TOL and np.all(np.abs(d1[1:]) <= EXACT_TOL))
-
-
-@dataclass(frozen=True)
-class BarrierVerdict:
-    """Outcome of the order-3 quadrature barrier check.
-
-    kind is "contradiction" when the hypotheses (distinct nonnegative
-    abscissas, weights nonnegative near 0) are verified, in which case
-    failed_relation names the first derivative relation at theta=0 that an
-    order-3 claim forces but the given weights cannot satisfy.  kind is
-    "not_applicable" when a hypothesis fails, with the reason and witness.
-    """
-
-    kind: str
-    failed_relation: str | None = None
-    hypothesis: str | None = None
-    witness_theta: float | None = None
-    lhs: float | None = None
-    rhs: float | None = None
-
-    @property
-    def contradiction(self) -> bool:
-        return self.kind == "contradiction"
-
-
-def quadrature_barrier_order3(c, weights: DenseWeights) -> BarrierVerdict:
-    """Run the order-3 barrier argument on concrete abscissas and weights.
-
-    The chain: weights nonnegative near 0 plus the quadrature conditions force
-    b(0)=0, then sum b'(0) c = 0, then sum b''(0) c^2 = 0, which pins every
-    second derivative with positive abscissa to zero; the second derivative of
-    the order-2 condition then demands sum b''(0) c = 1, which is impossible.
-    The verdict reports the first link the supplied weights break; each
-    link is tested to within EXACT_TOL.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or len(c) != weights.s:
-        raise DimensionMismatchError("abscissas must match the weight rows")
-    diffs = np.abs(c[:, None] - c[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    if diffs.min() <= 1e-13:
-        i, j = np.unravel_index(np.argmin(diffs), diffs.shape)
-        raise RepeatedAbscissaeError(
-            f"abscissas {i + 1} and {j + 1} coincide ({c[i]!r})"
-        )
-    if np.any(c < -EXACT_TOL):
-        j = int(np.argmin(c))
-        return BarrierVerdict(
-            kind="not_applicable",
-            hypothesis="negative abscissa present",
-            witness_theta=None,
-            lhs=float(c[j]),
-        )
-    # Nonnegativity near 0: certify each weight on [0, 0.1] by rescaling.
-    scale = np.power(0.1, np.arange(weights.degree + 1))
-    for j in range(weights.s):
-        report = poly_nonneg_on_unit(weights.coeffs[j] * scale)
-        if report.certified is CertStatus.NEGATIVE:
-            return BarrierVerdict(
-                kind="not_applicable",
-                hypothesis=f"weight {j + 1} negative near 0",
-                witness_theta=0.1 * report.witness_theta,
-                lhs=report.witness_value,
-            )
-        if report.certified is CertStatus.INCONCLUSIVE:
-            return BarrierVerdict(
-                kind="not_applicable",
-                hypothesis=f"weight {j + 1} nonnegativity near 0 not certifiable",
-            )
-    d0 = weights.left_values()
-    d1 = weights.coeffs[:, 1] if weights.degree >= 1 else np.zeros(weights.s)
-    d2 = 2.0 * weights.coeffs[:, 2] if weights.degree >= 2 else np.zeros(weights.s)
-    if np.any(np.abs(d0) > EXACT_TOL):
-        j = int(np.argmax(np.abs(d0)))
-        return BarrierVerdict(
-            kind="contradiction",
-            failed_relation="weights must vanish at 0",
-            lhs=float(d0[j]),
-            rhs=0.0,
-        )
-    lhs = float(d1 @ c)
-    if abs(lhs) > EXACT_TOL:
-        return BarrierVerdict(
-            kind="contradiction",
-            failed_relation="sum of c-weighted first derivatives at 0 must vanish",
-            lhs=lhs,
-            rhs=0.0,
-        )
-    lhs = float(d2 @ (c * c))
-    if abs(lhs) > EXACT_TOL:
-        return BarrierVerdict(
-            kind="contradiction",
-            failed_relation="sum of c^2-weighted second derivatives at 0 must vanish",
-            lhs=lhs,
-            rhs=0.0,
-        )
-    # All pins hold, so the second derivative of the quadratic-exactness
-    # condition cannot: it needs sum b''(0) c = 1 while the pins force 0.
-    return BarrierVerdict(
-        kind="contradiction",
-        failed_relation="second derivative of the order-2 condition at 0 "
-        "needs sum b''(0) c = 1, but nonnegativity forces 0",
-        lhs=float(d2 @ c),
-        rhs=1.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -321,6 +204,29 @@ def chebyshev_lobatto(n: int) -> np.ndarray:
 
 
 def _prescreen(tab, order, degree, r, check) -> PrescreenViolation | None:
+    """The first closed-form cause, at r > 0, for which no weights exist:
+    stage-conditions-at-r, zero-first-row, order-3-barrier or
+    family-quadratic-peak; None where the LPs must decide.
+
+    order-3-barrier is the theorem that no order-3 dense output keeps a
+    positive SSP coefficient, for every tableau with A >= 0 (exact on the
+    stored entries: only their signs are tested).  For an explicit tableau
+    the stage conditions at r > 0 already imply A >= 0: K = A (I + rA)^-1
+    >= 0 is strictly lower triangular and A = (I - rK)^-1 K.  Where an
+    entry of A is negative, the LPs decide.
+
+    Proof.  Let v = (I + rA)^-T w, the transformed weights: v >= 0 on
+    [0, 1], and v(0) = 0 since the weights have no constant terms.  A
+    condition sum_j f_j w_j reads ((I + rA) f)^T v, so with g = (I + rA) c
+    and h = (I + rA) c^2 the order-2 and order-3 conditions read g^T v =
+    theta^2/2 and h^T v = theta^3/3.  A >= 0 gives g, h >= 0, and h_j > 0
+    wherever g_j > 0 (h_j >= c_j^2 if c_j > 0; r (A c^2)_j > 0 if c_j = 0
+    and (A c)_j > 0).  From v(0) = 0 and v >= 0, v'(0) >= 0; the theta^1
+    coefficient gives h^T v'(0) = 0, so v_j'(0) = 0 wherever h_j > 0, there
+    v_j''(0) >= 0, and the theta^2 coefficient gives h^T v''(0) = 0, so
+    v_j''(0) = 0.  Hence g^T v''(0) = 0, but the theta^2 coefficient of
+    g^T v = theta^2/2 needs g^T v''(0) = 1.
+    """
     # a probe reports singular and stage_* before any weight row
     worst = check.violations[0] if check.violations else None
     if worst is not None and worst.condition.startswith(("singular", "stage")):
@@ -335,6 +241,12 @@ def _prescreen(tab, order, degree, r, check) -> PrescreenViolation | None:
             condition="zero-first-row",
             detail="order-2 dense output with positive SSP coefficient needs "
             "the first row of A identically zero",
+        )
+    if order >= 3 and np.all(tab.A >= 0.0):
+        return PrescreenViolation(
+            condition="order-3-barrier",
+            detail="order-3 dense output with positive SSP coefficient does "
+            "not exist for a tableau with A >= 0",
         )
     if order == 2 and degree == 2 and is_family_member(tab):
         s = tab.s
@@ -469,9 +381,12 @@ def lp_search(
 ) -> SearchResult:
     """Search for dense weights of the requested order and degree feasible at r.
 
-    Closed-form necessary conditions are screened first so an infeasible
-    verdict carries an interpretable cause.  Then at most three LPs run, with
-    the same equalities:
+    Closed-form causes are screened first, and an "infeasible" from one of
+    them names it in violated_necessary: stage-conditions-at-r (the stage
+    conditions fail at r), zero-first-row (order >= 2 needs a zero first row
+    of A), order-3-barrier (order >= 3 with A >= 0) or family-quadratic-peak
+    (the unique quadratic of a family member exceeds the step budget).  Then
+    at most three LPs run, with the same equalities:
 
     1. the Bernstein restriction: every transformed weight and the budget must
        have nonnegative Bernstein coefficients at degree D + ELEVATION, which

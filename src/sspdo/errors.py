@@ -30,10 +30,6 @@ class StructureError(SspdoError, ValueError):
     """Tableau lacks the structure required by the requested construction."""
 
 
-class RepeatedAbscissaeError(SspdoError, ValueError):
-    """Distinct abscissas are required."""
-
-
 class DegreeTooHighError(SspdoError, ValueError):
     """Polynomial degree exceeds the certifier's limit."""
 

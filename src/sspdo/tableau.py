@@ -282,9 +282,10 @@ class EndpointFlags:
     max_right_deviation: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def endpoint_check(tab: ButcherTableau, weights: DenseWeights) -> EndpointFlags:
     """Continuity flags: all weights vanish at theta=0; weights at theta=1 equal
-    b; both to within EXACT_TOL."""
+    b (a value that overflows matches none); both to within EXACT_TOL."""
     check_stage_count(tab, weights)
     left = np.abs(weights.left_values())
     right = np.abs(weights.evaluate(1.0) - tab.b)

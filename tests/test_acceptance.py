@@ -22,7 +22,6 @@ from sspdo.construct import (
     family_tableau,
     first_order_weights,
     lp_search,
-    quadrature_barrier_order3,
     second_order_weights,
 )
 from sspdo.experiments import convergence_study, run_figure1
@@ -118,8 +117,11 @@ def test_c07_order3_barrier():
         for degree in range(2, 7):
             result = lp_search(entry.tableau, order=3, degree=degree, r=0.1)
             assert not result.feasible, degree
-        verdict = quadrature_barrier_order3(entry.tableau.c, entry.dense_weights)
-        assert verdict.contradiction
+        # the prescreen states the barrier for every tableau with A >= 0
+        for tab, r in ((entry.tableau, 0.1), (family_tableau(8), 3.5)):
+            for degree in range(2, 15):
+                result = lp_search(tab, order=3, degree=degree, r=r)
+                assert result.violated_necessary.condition == "order-3-barrier", degree
 
 
 def test_c08_figure1_reproduction():

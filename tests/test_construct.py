@@ -1,9 +1,11 @@
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sspdo import certify, construct, registry, tableau
+from sspdo import construct, registry, tableau
 from sspdo.certify import (
     bernstein_matrix,
     condition_map,
@@ -14,24 +16,19 @@ from sspdo.certify import (
 )
 from sspdo.construct import (
     ELEVATION,
-    barrier_first_derivative,
     build_lp,
     chebyshev_lobatto,
     family_tableau,
     first_order_weights,
     lp_search,
-    quadrature_barrier_order3,
     second_order_weights,
 )
 from sspdo.errors import (
     DegreeTooHighError,
-    DimensionMismatchError,
-    RepeatedAbscissaeError,
     StructureError,
 )
 from sspdo.tableau import (
     ButcherTableau,
-    DenseWeights,
     dense_order_residuals,
     endpoint_check,
     validate_tableau,
@@ -132,95 +129,40 @@ def test_second_order_requires_order_two():
         second_order_weights(validate_tableau([[0]], [1]))
 
 
-# ----------------------------------------------------------------- barriers
+# ------------------------------------------------------------ theta=0 pins
+
+def _pin_problem(entry_key):
+    # the LP of an order-2 search at the method's C; with order >= 2 and
+    # r > 0 its last s equality rows are the theta=0 derivative pins
+    entry = registry.get(entry_key)
+    return entry, build_lp(entry.tableau, 2, 2, entry.c_method)
+
+
+def _lp_residual(problem, weights):
+    coeffs = np.zeros((weights.s, problem.degree + 1))
+    coeffs[:, : weights.degree + 1] = weights.coeffs
+    return problem.A_eq @ coeffs[:, 1:].ravel() - problem.b_eq
+
 
 def test_derivative_pins_quadratic_recipe():
-    entry = registry.get("ssp322")
-    assert barrier_first_derivative(entry.tableau, entry.dense_weights)
+    for key in ("ssp222", "ssp322", "ssp332", "numexample-322"):
+        entry, problem = _pin_problem(key)
+        assert np.abs(_lp_residual(problem, entry.dense_weights)).max() <= 1e-13, key
 
 
 def test_derivative_pins_linear_recipe_fails():
-    tab = registry.get("ssp322").tableau  # b_1 = 1/3 != 1
-    assert not barrier_first_derivative(tab, first_order_weights(tab))
+    entry, problem = _pin_problem("ssp322")  # b_1 = 1/3 != 1
+    residual = _lp_residual(problem, first_order_weights(entry.tableau))
+    assert np.abs(residual[-entry.tableau.s :]).max() > 0.5
 
 
 def test_derivative_pins_nonssp_weights_fail():
-    entry = registry.get("numexample-322")
-    assert not barrier_first_derivative(entry.tableau, registry.nonssp_weights_322())
-
-
-def test_barrier_abscissas_must_match_the_weight_rows():
-    with pytest.raises(DimensionMismatchError):
-        quadrature_barrier_order3([0.0, 1.0], registry.get("ssp332").dense_weights)
-
-
-def test_barrier_repeated_abscissas():
-    with pytest.raises(RepeatedAbscissaeError):
-        quadrature_barrier_order3(
-            [0.0, 0.5, 0.5], registry.get("ssp332").dense_weights
-        )
-
-
-def test_barrier_negative_abscissa_not_applicable():
-    verdict = quadrature_barrier_order3(
-        [-0.5, 0.5, 1.0], registry.get("ssp332").dense_weights
-    )
-    assert verdict.kind == "not_applicable"
-    assert "negative" in verdict.hypothesis
-
-
-def test_barrier_negative_weight_not_applicable():
-    weights = DenseWeights([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
-    verdict = quadrature_barrier_order3([0.0, 0.5, 1.0], weights)
-    assert verdict.kind == "not_applicable"
-    assert verdict.witness_theta is not None
-
-
-def test_barrier_weight_undecided_near_zero_not_applicable(monkeypatch):
-    # weight 1 is 0.0026 - 0.01 t + 0.01 t^2 on [0, 0.1]: positive, but its
-    # Bernstein coefficients need subdivision, so at depth 0 it stays undecided
-    weights = DenseWeights([[0.0026, -0.1, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    verdict = quadrature_barrier_order3([0.0, 0.5, 1.0], weights)
-    assert verdict.contradiction
-    assert verdict.failed_relation == "weights must vanish at 0"
-    monkeypatch.setattr(certify, "MAX_DEPTH", 0)
-    verdict = quadrature_barrier_order3([0.0, 0.5, 1.0], weights)
-    assert verdict.kind == "not_applicable"
-    assert verdict.hypothesis == "weight 1 nonnegativity near 0 not certifiable"
-
-
-def test_barrier_contradiction_quadratic_weights():
-    entry = registry.get("ssp332")
-    verdict = quadrature_barrier_order3(entry.tableau.c, entry.dense_weights)
-    assert verdict.contradiction
-    assert "second derivatives" in verdict.failed_relation
-    # sum of c^2-weighted second derivatives: 2(b_2 c_2^2 + b_3 c_3^2) = 2/3
-    assert verdict.lhs == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-
-def test_barrier_contradiction_linear_weights():
-    tab = registry.get("ssp322").tableau
-    verdict = quadrature_barrier_order3(tab.c, first_order_weights(tab))
-    assert verdict.contradiction
-    assert "first derivatives" in verdict.failed_relation
-
-
-def test_barrier_contradiction_zero_weights_final_link():
-    verdict = quadrature_barrier_order3(
-        [0.0, 0.5, 1.0], DenseWeights(np.zeros((3, 3)))
-    )
-    assert verdict.contradiction
-    assert verdict.rhs == 1.0 and verdict.lhs == 0.0
-
-
-def test_barrier_contradiction_weights_must_vanish_at_zero():
-    # constant weights are nonnegative near 0 but do not vanish there
-    verdict = quadrature_barrier_order3(
-        [0.0, 1.0], DenseWeights([[0.25, 0.0], [0.75, 0.0]])
-    )
-    assert verdict.contradiction
-    assert verdict.failed_relation == "weights must vanish at 0"
-    assert verdict.lhs == 0.75 and verdict.rhs == 0.0
+    # the weights are second order, so only the pins reject them
+    entry, problem = _pin_problem("numexample-322")
+    residual = _lp_residual(problem, registry.nonssp_weights_322())
+    s = entry.tableau.s
+    assert np.abs(residual[:-s]).max() <= 1e-13
+    assert np.abs(residual[-s:]).max() > 0.5
 
 
 # ---------------------------------------------------------------- lp search
@@ -253,7 +195,8 @@ def test_lp_search_family_nonexistence(s):
 @pytest.mark.parametrize(
     "method, degree, r",
     [pytest.param("ssp332", degree, 0.1, id=str(degree)) for degree in range(2, 7)]
-    # no prescreen fires on this one, so the verdict comes from the LP solve
+    # the order-3-barrier prescreen decides this one too; the LP it no
+    # longer reaches is tested on its own below
     + [pytest.param("family-s7", 4, 5.5, id="family-s7-4")],
 )
 def test_lp_search_order3_infeasible(method, degree, r):
@@ -284,7 +227,8 @@ def test_lp_search_fine_relaxation_proves_infeasible():
 )
 def test_lp_search_decides_where_the_coarse_relaxation_broke_down(s, order, r):
     # a relaxation at 2D+2 points stopped HiGHS with status 4 on these
-    # searches; the relaxation at D + ELEVATION + 1 points is infeasible
+    # searches; at order 2 the relaxation at D + ELEVATION + 1 points is
+    # infeasible, and at order 3 the order-3-barrier prescreen answers
     result = lp_search(family_tableau(s), order=order, degree=3, r=r)
     assert result.status == "infeasible" and result.weights is None
 
@@ -406,6 +350,48 @@ def test_lp_search_order1_feasible_certified():
         n for lvl, n in zip(report.levels, report.max_norms) if lvl <= 1
     ) < 1e-10
     assert dense_ssp_coefficient(tab, result.weights) >= 2.0 - 1e-8
+
+
+@pytest.mark.parametrize(
+    "s, r, degree",
+    [(12, 11.0, 13), (16, 7.5, 13)]
+    + [(16, 15.0, degree) for degree in (11, 13, 14)]
+    + [(20, 9.5, degree) for degree in (10, 12, 13, 14)]
+    + [(20, 19.0, degree) for degree in (12, 14)],
+)
+def test_order3_barrier_decides_where_the_lps_were_inconclusive(s, r, degree):
+    # the two LPs ended inconclusive here after 0.28-2.7 s each; the
+    # prescreen answers in about 0.3 ms (the first call may load LAPACK's
+    # extension, so the second is timed)
+    lp_search(family_tableau(s), order=3, degree=degree, r=r)
+    start = time.perf_counter()
+    result = lp_search(family_tableau(s), order=3, degree=degree, r=r)
+    elapsed = time.perf_counter() - start
+    assert result.status == "infeasible" and result.weights is None
+    assert result.violated_necessary.condition == "order-3-barrier"
+    assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("s, degree, r", [(7, 4, 5.5), (9, 3, 7.75)])
+def test_order3_equalities_leave_the_relaxation_infeasible(s, degree, r):
+    # the prescreen answers these searches before any LP; the relaxation over
+    # the order-3 equality rows refutes them on its own
+    assert construct._solve_lp(build_lp(family_tableau(s), 3, degree, r)) is None
+
+
+def test_order3_barrier_needs_a_nonnegative_tableau():
+    # a negative entry of A leaves the barrier's hypothesis unmet: the
+    # prescreen hands such a tableau to the LPs, and a search on this one
+    # stops at the stage conditions first
+    tab = validate_tableau([[0, 0, 0], [1, 0, 0], ["-1/4", 1, 0]], ["1/6", "1/6", "2/3"])
+    passing = SimpleNamespace(violations=())
+    assert construct._prescreen(tab, 3, 3, 0.5, passing) is None
+    assert construct._prescreen(family_tableau(3), 3, 3, 0.5, passing).condition == (
+        "order-3-barrier"
+    )
+    with pytest.warns(UserWarning, match="exceeds the method's SSP coefficient"):
+        result = lp_search(tab, order=3, degree=3, r=0.5)
+    assert result.violated_necessary.condition == "stage-conditions-at-r"
 
 
 def test_lp_search_zero_first_row_prescreen():

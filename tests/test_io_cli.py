@@ -193,6 +193,41 @@ def test_certify_record_flags_an_unbounded_dense_coefficient(tmp_path, capsys, s
     assert keys[keys.index("method_unbounded") + 1] == "dense_unbounded"
 
 
+@pytest.mark.parametrize(
+    "source, dense, flag",
+    [("misses-b", True, False)]
+    + [
+        (key, True, True)
+        for key in ("ssp222", "ssp322", "ssp332", "numexample-322")
+        + ("family-s2", "family-s3", "family-s4")
+    ]
+    + [("ssp322", False, None)],
+)
+def test_certify_record_says_whether_the_dense_weights_meet_b(tmp_path, capsys, source, dense, flag):
+    # ssp222 with bbar (0.6 theta, 0.4 theta) certifies r_dense 1 but misses
+    # b = (1/2, 1/2) at theta = 1; the record says so next to dense_unbounded
+    # and a human line says so only then; without --dense the flag is null
+    if source == "misses-b":
+        path = tmp_path / "misses-b.json"
+        path.write_text(json.dumps(
+            {"A": [[0, 0], ["1", 0]], "b": ["1/2", "1/2"], "bbar": [[0, "0.6"], [0, "0.4"]]}
+        ))
+        argv = ["certify", "--tableau", str(path)]
+    else:
+        argv = ["certify", "--method", source]
+    assert main(argv + ["--dense"] * dense) == 0
+    lines = capsys.readouterr().out.splitlines()
+    record = json.loads(lines[-1])
+    assert record["dense_matches_b"] is flag
+    keys = list(record)
+    assert keys[keys.index("dense_unbounded") + 1] == "dense_matches_b"
+    missing = [line for line in lines[:-1] if line.split()[0] == "w(1)"]
+    expected = ["  w(1) = b     fails (not a continuous extension)"]
+    assert missing == (expected if flag is False else [])
+    if source == "misses-b":
+        assert record["r_dense"] == 1.0
+
+
 def test_certify_ignores_a_tolerance_in_the_environment(tmp_path, monkeypatch, capsys):
     # the bisection tolerance is the constant certify.BISECT_TOL, so
     # SSPDO_TOL, which once set it, is ignored; r_dense 2.897271185356658 is
@@ -908,6 +943,8 @@ def test_overflowing_dense_row_keeps_its_witness_at_zero(tmp_path, capsys):
     assert record["conservative"] is False
     witness = {"condition": "dense_nonneg", "index": [1], "value": -1e308, "theta": 0.0}
     assert witness in record["witnesses"]
+    # w_1(1) overflows to -inf, which matches no b, without a numpy warning
+    assert record["dense_matches_b"] is False
 
 
 _OVERFLOWING = {
@@ -1075,7 +1112,7 @@ def _readme_commands() -> list[list[str]]:
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     # every line of the README's command-line block, with m.json from ssp322
     commands = _readme_commands()
-    assert len(commands) == 11 and all(commands)
+    assert len(commands) == 12 and all(commands)
     entry = registry.get("ssp322")
     save_tableau_file(tmp_path / "m.json", entry.tableau, entry.dense_weights)
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,6 @@
 """Run the 1152-search grid of the LP search in one process and print one
-JSON line: the count of each status and the sha256 of the searches' records.
+JSON line: the count of each status, the count of each prescreen cause
+(violated_necessary.condition) and the sha256 of the searches' records.
 
 The grid is
   family-s2..s12 x order 1-3 x degree 1-6 x r in {C/2, 0.9C, C - 0.25, C - 1e-9, C}
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -48,12 +50,16 @@ def grid():
 
 def main() -> int:
     counts = {"feasible": 0, "infeasible": 0, "inconclusive": 0}
+    causes = Counter()
     digest = hashlib.sha256()
     for tab, order, degree, r in grid():
         result = lp_search(tab, order, degree, r)
         counts[result.status] += 1
+        if result.violated_necessary is not None:
+            causes[result.violated_necessary.condition] += 1
         digest.update(repr(result.as_record()).encode())
-    print(json.dumps({**counts, "sha256": digest.hexdigest()}))
+    causes = dict(sorted(causes.items()))
+    print(json.dumps({**counts, "causes": causes, "sha256": digest.hexdigest()}))
     return 0
 
 
