@@ -40,12 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import poly
-from .errors import (
-    DegreeTooHighError,
-    InvalidArgumentError,
-    PostVerificationError,
-    SingularMatrixError,
-)
+from .errors import DegreeTooHighError, InvalidArgumentError, SingularMatrixError
 from .tableau import ButcherTableau, DenseWeights, check_stage_count, endpoint_check
 
 SIGN_TOL = 1e-12        # slack allowed on both sides: >= -1e-12 and <= 1 + 1e-12
@@ -486,18 +481,18 @@ class SupResult:
     conservative: bool
 
 
-def _sup_by_bisection(probe, tol: float) -> SupResult:
+def _sup_by_bisection(probe) -> SupResult:
     """Bisection for sup{r >= 0 : probe(r) feasible} over an interval-shaped set.
 
     One loop brackets the sup: starting from lo = 0, it probes hi = 1e-10,
     then max(1, 2*hi) capped at R_CAP, until a probe is infeasible; a
     feasible probe at R_CAP means unbounded.  A second loop then follows
     plain bisection's path of midpoints, halving the bracket until it is at
-    most tol wide or cannot be split in floating point.  A midpoint outside
-    the proven bracket (highest radius probed feasible, lowest radius probed
-    infeasible) is inferred, as the interval shape decides it, and the loop
-    halves on.  At the first midpoint it cannot infer, the loop reads the
-    root estimate of the latest infeasible probe (Newton on its first
+    most BISECT_TOL wide or cannot be split in floating point.  A midpoint
+    outside the proven bracket (highest radius probed feasible, lowest radius
+    probed infeasible) is inferred, as the interval shape decides it, and the
+    loop halves on.  At the first midpoint it cannot infer, the loop reads
+    the root estimate of the latest infeasible probe (Newton on its first
     witness, FeasibilityCheck.root_estimate).  An estimate inside the proven
     bracket picks the two adjacent leaves of the tree around it (_leaves),
     which are probed, at most GUIDED_JUMPS times; otherwise the midpoint is
@@ -507,21 +502,22 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
     2 * GUIDED_JUMPS more probes, and usually the two leaves alone; a probe
     without an estimate gives plain bisection.
 
-    Every radius is probed once: only the radius lo*(1+1e-8)+1e-8 just
-    above the sup, or x*(1+1e-8)+1e-8 for the lowest radius x probed
-    infeasible when a tol above about 1e-8 leaves x higher, is post-verified,
-    and a feasible probe there means a non-interval set and surfaces as an
-    error rather than a wrong answer.  For r = 0 that radius is 1e-8; a tol
-    below 1e-10 also bisects (0, 1e-10) when 1e-10 probes infeasible.  The
-    first infeasible probe is kept as first_infeasible.  conservative means
-    that some radius was judged infeasible without a witness.
+    Every radius is probed once.  Then lo*(1+1e-8)+1e-8 (1e-8 for lo = 0)
+    is post-verified: it lies above the lowest radius probed infeasible,
+    which the walk leaves at most 1.2e-10 above lo (BISECT_TOL, or the
+    spacing of doubles below R_CAP).  The first infeasible probe is kept as
+    first_infeasible.  conservative means that the value is a certified
+    lower bound that may not be tight, for either of two causes: some radius
+    the walk judged infeasible had no witness, or the post-verification
+    radius probed feasible, as float noise can make it where a condition
+    stays within rounding of its bound over a range of r.  The value is lo
+    either way; the exact feasible set is an interval, so every radius below
+    lo is feasible too.
 
-    The value is at most tol below the sup of the probe.  A probe whose
-    sign checks allow SIGN_TOL of slack has its sup up to about
+    The value is at most BISECT_TOL below the sup of the probe.  A probe
+    whose sign checks allow SIGN_TOL of slack has its sup up to about
     C * SIGN_TOL above the exact coefficient C, so the value can exceed C.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidArgumentError(f"tolerance must be finite and positive, got {tol}")
     conservative = False
 
     def run(r):
@@ -541,7 +537,7 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
     feasible_max, infeasible_min = lo, hi
     latest, estimate, jumps = first_bad, None, 0
     a, b = lo, hi
-    while b - a > tol and (mid := 0.5 * (a + b)) not in (a, b):
+    while b - a > BISECT_TOL and (mid := 0.5 * (a + b)) not in (a, b):
         if not feasible_max < mid < infeasible_min:
             a, b = (mid, b) if mid <= feasible_max else (a, mid)
             continue
@@ -553,7 +549,7 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
             jumps += 1
             # the estimate lies inside [a, b], on plain bisection's path
             # from (lo, hi), so the walk's node leads to the same leaves
-            radii = _leaves(a, b, tol, estimate)
+            radii = _leaves(a, b, estimate)
         else:
             radii = (mid,)
         for r in radii:
@@ -563,22 +559,18 @@ def _sup_by_bisection(probe, tol: float) -> SupResult:
                     feasible_max, latest = r, None
                 else:
                     infeasible_min, estimate = r, None
-    upper = feasible_max * (1.0 + 1e-8) + 1e-8
-    if upper <= infeasible_min:
-        upper = infeasible_min * (1.0 + 1e-8) + 1e-8
-    if run(upper).feasible:
-        raise PostVerificationError(
-            f"post-verification failed: r={upper} probed feasible above the sup",
-            r=upper,
-        )
+    # post-verification decides no radius at or below feasible_max, so only
+    # a feasible probe there sets the flag
+    if probe(feasible_max * (1.0 + 1e-8) + 1e-8).feasible:
+        conservative = True
     return SupResult(feasible_max, first_bad, False, conservative)
 
 
-def _leaves(lo: float, hi: float, tol: float, x: float) -> tuple[float, float]:
+def _leaves(lo: float, hi: float, x: float) -> tuple[float, float]:
     """The pair of adjacent leaves around x that bisection of (lo, hi) ends
-    on: it halves until the bracket is at most tol wide or cannot be split
-    in floating point, keeping the upper half where mid <= x."""
-    while hi - lo > tol and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+    on: it halves until the bracket is at most BISECT_TOL wide or cannot be
+    split in floating point, keeping the upper half where mid <= x."""
+    while hi - lo > BISECT_TOL and (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if mid <= x else (lo, mid)
     return lo, hi
 
@@ -589,7 +581,7 @@ def ssp_coefficient(tab: ButcherTableau) -> float:
 
 
 def ssp_coefficient_detailed(tab: ButcherTableau) -> SupResult:
-    return _sup_by_bisection(lambda r: monotonicity_feasible_method(tab, r), BISECT_TOL)
+    return _sup_by_bisection(lambda r: monotonicity_feasible_method(tab, r))
 
 
 def dense_ssp_coefficient(tab: ButcherTableau, weights: DenseWeights) -> float:
@@ -598,9 +590,7 @@ def dense_ssp_coefficient(tab: ButcherTableau, weights: DenseWeights) -> float:
 
 
 def dense_ssp_coefficient_detailed(tab: ButcherTableau, weights: DenseWeights) -> SupResult:
-    return _sup_by_bisection(
-        lambda r: monotonicity_feasible_dense(tab, weights, r), BISECT_TOL
-    )
+    return _sup_by_bisection(lambda r: monotonicity_feasible_dense(tab, weights, r))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -653,7 +643,10 @@ class SspCertificate:
     r_combined is the min of the method and dense coefficients and is what
     limits the usable step size when dense output is evaluated.
     dense_matches_b says whether the dense weights meet b at theta = 1
-    (endpoint_check); r_dense does not depend on it.
+    (endpoint_check); r_dense does not depend on it.  conservative says
+    that a coefficient is a certified lower bound that may not be tight:
+    its bisection judged a radius infeasible without a witness, or its
+    post-verification radius probed feasible.
     """
 
     r_method: float
@@ -707,7 +700,8 @@ def compute_certificate(
 
     Each coefficient is the highest radius probed feasible, bisected to
     BISECT_TOL: at most 1e-10 below the sup of a probe whose sign checks
-    allow SIGN_TOL (1e-12) of slack, so it can exceed the exact C."""
+    allow SIGN_TOL (1e-12) of slack, so it can exceed the exact C.
+    conservative is true when either bisection's is (_sup_by_bisection)."""
     method = ssp_coefficient_detailed(tab)
     dense = None if weights is None else dense_ssp_coefficient_detailed(tab, weights)
     bounded = method.value > 0 and not method.unbounded

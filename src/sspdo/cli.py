@@ -76,6 +76,8 @@ def _cmd_certify(args) -> int:
         if cert.r_dense is not None:
             print(f"  {'r_dense':<12} {_coefficient(cert.r_dense)}")
             print(f"  {'r_combined':<12} {_coefficient(cert.r_combined)}")
+        if cert.conservative:
+            print(f"  {'conservative':<12} yes (a certified lower bound that may not be tight)")
         if cert.dense_matches_b is False:
             print(f"  {'w(1) = b':<12} fails (not a continuous extension)")
         print(f"  {'gamma':<12} {cert.gamma:.12g}")

@@ -67,12 +67,3 @@ class NumericalCycleError(SspdoError, RuntimeError):
     """The LP solver stopped without a feasibility verdict: at its iteration
     bound, or by a numerical breakdown.  The message carries the solver's
     status, its iteration count and its own message."""
-
-
-class PostVerificationError(SspdoError, RuntimeError):
-    """Bisection's post-verification contradicts an interval-shaped feasible
-    set; r is the probed radius that disagrees."""
-
-    def __init__(self, message, r):
-        super().__init__(message)
-        self.r = r

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sspdo
-from sspdo import cli, registry
+from sspdo import certify, cli, registry
 from sspdo.cli import main
 from sspdo.construct import family_tableau, lp_search, second_order_weights
 from sspdo.errors import ParseError
@@ -226,6 +226,51 @@ def test_certify_record_says_whether_the_dense_weights_meet_b(tmp_path, capsys, 
     assert missing == (expected if flag is False else [])
     if source == "misses-b":
         assert record["r_dense"] == 1.0
+
+
+def test_certify_gives_a_record_where_float_noise_breaks_the_interval(tmp_path, capsys):
+    # family-s24 with 1e-12 of b*theta's linear coefficient moved from stage
+    # 1 to stage 2: its binding row stays within rounding of its bound over
+    # a range of r, so radii probed just above the sup can read feasible
+    s = 24
+    bbar = [[0, "1/24"] for _ in range(s)]
+    bbar[0][1], bbar[1][1] = "0.041666666665666666", "0.04166666666766666"
+    data = {
+        "A": [["1/23" if j < i else 0 for j in range(s)] for i in range(s)],
+        "b": ["1/24"] * s,
+        "bbar": bbar,
+    }
+    (tmp_path / "f.json").write_text(json.dumps(data))
+    argv = ["certify", "--tableau", str(tmp_path / "f.json"), "--dense", "--format", "record"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["r_method"] == 23.0
+    assert 15.19 < record["r_dense"] == record["r_combined"] < 15.2
+
+
+def test_certify_human_marks_a_conservative_coefficient(monkeypatch, capsys):
+    # a feasible sliver at ssp222's post-verification radius 1 + 2e-8 leaves
+    # r_dense 1 a lower bound that may not be tight
+    line = "  conservative yes (a certified lower bound that may not be tight)"
+    assert main(["certify", "--method", "ssp222", "--dense"]) == 0
+    assert line not in capsys.readouterr().out.splitlines()
+    original = certify.monotonicity_feasible_dense
+
+    def probe(tab, weights, r):
+        if 1.0 + 1.5e-8 < r < 1.0 + 2.5e-8:
+            return certify.FeasibilityCheck(())
+        return original(tab, weights, r)
+
+    monkeypatch.setattr(certify, "monotonicity_feasible_dense", probe)
+    assert main(["certify", "--method", "ssp222", "--dense"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:5] == [
+        "  r_method     1",
+        "  r_dense      1",
+        "  r_combined   1",
+        line,
+    ]
+    assert json.loads(lines[-1])["conservative"] is True
 
 
 def test_certify_ignores_a_tolerance_in_the_environment(tmp_path, monkeypatch, capsys):
