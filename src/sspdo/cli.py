@@ -149,15 +149,18 @@ def _cmd_integrate(args) -> int:
     if thetas is None or len(thetas) != max(args.dense - 1, 0):
         raise InvalidArgumentError(f"--dense {args.dense} gives more points than an array holds")
     traj = integrate_fixed(tab, problem, [args.u0], args.h, args.steps)
-    print("t,theta_global,u,is_step_point")
+    h, write = args.h, sys.stdout.write
+    point_row = "%r,%r,%r,1\n"
+    # one write per step: its step point, then its dense points
+    step_rows = point_row + "%r,%r,%r,0\n" * len(thetas)
+    write("t,theta_global,u,is_step_point\n")
     for n in range(args.steps):
-        t = n * args.h
-        print(f"{t!r},{float(n)!r},{float(traj.states[n][0])!r},1")
-        values = dense_eval_grid(traj, weights, n, thetas)[:, 0] if thetas else ()
+        fields = [n * h, float(n), float(traj.states[n][0])]
+        values = dense_eval_grid(traj, weights, n, thetas)[:, 0].tolist() if thetas else ()
         for theta, u in zip(thetas, values):
-            print(f"{(n + theta) * args.h!r},{n + theta!r},{float(u)!r},0")
-    t_end = args.steps * args.h
-    print(f"{t_end!r},{float(args.steps)!r},{float(traj.states[-1][0])!r},1")
+            fields += ((n + theta) * h, n + theta, u)
+        write(step_rows % tuple(fields))
+    write(point_row % (args.steps * h, float(args.steps), float(traj.states[-1][0])))
     return 0
 
 

@@ -443,6 +443,32 @@ def test_integrate_dense_values_are_dense_eval_grid(key, capsys):
     assert np.array_equal(printed, grid)
 
 
+@pytest.mark.parametrize(
+    "h, steps, dense",
+    [("0.5", 10, 8), ("0.5", 10, 1), ("0.5", 0, 4), ("1e-320", 10, 8)],
+    ids=["dense-8", "dense-1", "no-steps", "subnormal-h"],
+)
+def test_integrate_csv_matches_per_value_repr(h, steps, dense, capsys):
+    # reference text: every field through repr(float(x)), one row at a time
+    argv = ["integrate", "--method", "ssp222", "--problem", "sinode", "--u0", "0.3",
+            "--h", h, "--steps", str(steps), "--dense", str(dense)]
+    assert main(argv) == 0
+    entry = registry.get("ssp222")
+    h = float(h)
+    traj = integrate_fixed(entry.tableau, sinode(), [0.3], h, steps)
+    thetas = np.arange(1, dense) / dense
+    lines = ["t,theta_global,u,is_step_point\n"]
+    for n in range(steps + 1):
+        fields = (n * h, n, traj.states[n][0])
+        lines.append(",".join(repr(float(x)) for x in fields) + ",1\n")
+        if n < steps and dense > 1:
+            values = dense_eval_grid(traj, entry.dense_weights, n, thetas)[:, 0]
+            for theta, u in zip(thetas.tolist(), values):
+                fields = ((n + theta) * h, n + theta, u)
+                lines.append(",".join(repr(float(x)) for x in fields) + ",0\n")
+    assert capsys.readouterr().out == "".join(lines)
+
+
 def test_unknown_method_exit_code(capsys):
     assert main(["certify", "--method", "nope"]) == 2
 
@@ -1091,10 +1117,12 @@ def test_figure1_record_and_determinism(tmp_path, capsys):
     assert header == "u0,t,theta,u,formula"
 
 
-def test_figure1_csv_matches_per_value_repr(tmp_path):
+@pytest.mark.parametrize("h", [0.5, 1.6, 2.0])
+def test_figure1_csv_matches_per_value_repr(h, tmp_path):
     # reference text: every field through repr(float(x)), one at a time, on
-    # the full 101 x 101 x 7 grid
-    h, n_steps = 1.6, FIGURE1_N_STEPS
+    # the full 101 x 101 x 7 grid; these grids hold 33, 35 and 19 values that
+    # repr prints in exponent form
+    n_steps = FIGURE1_N_STEPS
     run_figure1(h=h, out_dir=str(tmp_path))
     entry = registry.get("numexample-322")
     u0s = np.linspace(0.0, 1.0, FIGURE1_N_U0)
@@ -1116,6 +1144,17 @@ def test_figure1_csv_matches_per_value_repr(tmp_path):
 
 def test_figure1_rejects_zero_step(capsys):
     assert main(["experiment", "figure1", "--h", "0"]) == 2
+
+
+def test_figure1_out_on_a_regular_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    assert main(["experiment", "figure1", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert path.read_text() == "kept\n"
 
 
 def test_sweep_record(capsys):
